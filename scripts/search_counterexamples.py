@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Sweep the open-question searches over small groups and report witnesses.
 
-Each hit is re-verified here with the naive largeness checker before it
-is printed, independently of whatever shortcut the search itself took.
-Exits 1 if any witness survives, 0 on a clean sweep.
+Each hit carries the library's own verdict on it: run_search re-verifies a
+witness through an independent code path and reports the outcome as
+"reverified".  Exits 1 if any witness survives, 0 on a clean sweep.
 """
 import argparse
 import json
@@ -11,30 +11,7 @@ import sys
 import time
 
 from eqlarge.catalog import catalog_upto
-from eqlarge.group import Subset, is_2_engel, power
-from eqlarge.largeness import naive_is_k_large
-from eqlarge.probability import solution_set
 from eqlarge.verifier import QUESTIONS, run_search
-from eqlarge.words import parse_equation
-
-
-def recheck(G, hit):
-    """Re-establish a witness from scratch; returns True if it stands."""
-    if hit["question"] == "cube_5large":
-        sols = solution_set(G, parse_equation("x1^3 = #e"))
-        X = Subset(G, sols.bits)
-        return naive_is_k_large(G, X, 5) and not is_2_engel(G)
-    if hit["question"] == "comm_2large_c":
-        c = hit["value"]
-        if c == G.identity:
-            return False
-        P = power(G, 2)
-        bits = 0
-        for idx in range(P.order):
-            if G.comm(idx % G.order, idx // G.order) == c:
-                bits |= 1 << idx
-        return bits != 0 and naive_is_k_large(P, Subset(P, bits), 2)
-    return False
 
 
 def main(argv=None):
@@ -48,7 +25,6 @@ def main(argv=None):
     question_ids = (args.questions.split(",") if args.questions
                     else sorted(QUESTIONS))
     groups = catalog_upto(args.max_order)
-    by_label = {G.label: G for G in groups}
 
     findings = []
     for qid in question_ids:
@@ -59,7 +35,7 @@ def main(argv=None):
             print(f"{qid}: no witness up to order {args.max_order} "
                   f"({elapsed:.2f}s)")
             continue
-        stands = recheck(by_label[hit["group"]], hit)
+        stands = hit["reverified"]
         print(f"{qid}: WITNESS {json.dumps(hit, sort_keys=True)} "
               f"recheck={'ok' if stands else 'FAILED'} ({elapsed:.2f}s)")
         if stands:

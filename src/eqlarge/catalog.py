@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 
 from .errors import NotAPermutation, UnknownSpec
@@ -282,10 +283,10 @@ def catalog_upto(max_order):
     for n in range(3, max_order // 2 + 1):
         out.append(dihedral(n))
     for n in range(3, 7):
-        if _factorial(n) <= max_order:
+        if math.factorial(n) <= max_order:
             out.append(symmetric(n))
     for n in range(4, 7):
-        if _factorial(n) // 2 <= max_order:
+        if math.factorial(n) // 2 <= max_order:
             out.append(alternating(n))
     if max_order >= 8:
         out.append(quaternion())
@@ -297,13 +298,6 @@ def catalog_upto(max_order):
         if p ** 3 <= max_order:
             out.append(heisenberg(p))
     return out
-
-
-def _factorial(n):
-    acc = 1
-    for i in range(2, n + 1):
-        acc *= i
-    return acc
 
 
 _CATALOG_RE = re.compile(r"catalog\s*<=\s*(\d+)")

@@ -91,11 +91,20 @@ BUDGET_ERRORS = (OrderBound, IndexBound, BudgetExceeded)
 
 
 def _default_nodes():
-    raw = os.environ.get("EQLARGE_BUDGET_NODES", "")
+    """The node cap as text; argparse passes it through _node_cap."""
+    return os.environ.get("EQLARGE_BUDGET_NODES") or "10000000"
+
+
+def _node_cap(text):
     try:
-        return int(raw)
+        cap = int(text)
     except ValueError:
-        return 10_000_000
+        cap = 0
+    if cap < 1:
+        raise argparse.ArgumentTypeError(
+            f"the node cap (--budget-nodes or EQLARGE_BUDGET_NODES) must be "
+            f"a positive integer, got {text!r}")
+    return cap
 
 
 def _fraction_text(fr):
@@ -168,7 +177,7 @@ def _cmd_solve(args):
     shown = []
     P = power(G, sols.arity) if sols.arity > 1 else None
     origin = getattr(P, "_product_origin", P) if P is not None else None
-    for idx in _iter_bits(sols.bits):
+    for idx in sols.indices():
         if sols.arity <= 1:
             shown.append([G.name(idx)])
         else:
@@ -196,14 +205,6 @@ def _cmd_solve(args):
         lines.append(f"  ... ({sols.count - len(shown)} more)")
     _emit(payload, args.format, lines)
     return 0
-
-
-def _iter_bits(bits):
-    m = bits
-    while m:
-        low = m & -m
-        yield low.bit_length() - 1
-        m ^= low
 
 
 def _cmd_prob(args):
@@ -275,12 +276,17 @@ def _load_subset(args, G):
     except ValueError:
         raise ParseError(f"--subset is neither JSON nor solutions:<eq>: "
                          f"{raw!r}") from None
-    if not isinstance(obj, dict) or "elements" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("elements"),
+                                                   list):
         raise ParseError('--subset JSON needs an "elements" list')
+    elements = obj["elements"]
+    if any(type(e) is not int for e in elements):
+        raise ParseError('--subset "elements" must be integer element '
+                         'indices')
     if "group" in obj:
         G = catalog(obj["group"])
     try:
-        return G, Subset.from_indices(G, obj["elements"])
+        return G, Subset.from_indices(G, elements)
     except IndexError as exc:
         raise ParseError(str(exc)) from None
 
@@ -407,7 +413,7 @@ def _build_parser():
                             help="bind a symbolic constant to an element "
                                  "index or name; repeatable")
         if budget:
-            sp.add_argument("--budget-nodes", type=int,
+            sp.add_argument("--budget-nodes", type=_node_cap,
                             default=_default_nodes(),
                             help="search node cap (default from "
                                  "EQLARGE_BUDGET_NODES or 10^7)")

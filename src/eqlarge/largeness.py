@@ -90,26 +90,25 @@ def left_translate(G, X, g):
 
 
 class _CoverSearch:
-    """Minimum number of left translates g*Y covering all of G.
+    """Covers of G by left translates g*Y, found by one branch and bound.
 
     Distinct translators can give the same translate when Y is a union of
-    right cosets, so candidate lists are deduplicated by translate mask.
-    A greedy packing of pairwise non-coverable elements gives the lower
-    bound; branch and bound closes the gap to the greedy cover.
+    right cosets, so the translates through each element are deduplicated
+    by mask.  A greedy packing of pairwise non-coverable elements gives the
+    lower bound; branch and bound closes the gap to the greedy cover.
     """
 
     def __init__(self, G, Y, budget):
         self.G = G
-        self.ybits = Y.bits
         self.ylist = list(Y.indices())
         self.full = (1 << G.order) - 1
         self.budget = budget
         self.nodes = 0
         self.mask_cache = {}
-        self.union_cache = {}
+        self.through_cache = {}
         self.best = None
         self.best_sel = None
-        self.found = None
+        self.goal = None
 
     def translate_mask(self, g):
         m = self.mask_cache.get(g)
@@ -121,37 +120,31 @@ class _CoverSearch:
             self.mask_cache[g] = m
         return m
 
-    def candidates(self, uncovered):
-        """Unique translates containing the lowest uncovered element, as
-        (translator, mask) pairs sorted by descending fresh coverage with
-        the translator index breaking ties."""
-        e = (uncovered & -uncovered).bit_length() - 1
-        inv = self.G.inv
-        mul = self.G.mul
-        tmask = self.translate_mask
-        seen = set()
-        out = []
-        for y in self.ylist:
-            g = mul(e, inv(y))
-            m = tmask(g)
-            if m not in seen:
-                seen.add(m)
-                out.append((g, m))
-        out.sort(key=lambda gm: (-(gm[1] & uncovered).bit_count(), gm[0]))
-        return out
-
-    def element_union(self, e):
-        """Union of all translates containing element e."""
-        u = self.union_cache.get(e)
-        if u is None:
+    def through(self, e):
+        """Unique translates containing element e, as (translator, mask)
+        pairs; the first translator in Y order stands for each mask."""
+        out = self.through_cache.get(e)
+        if out is None:
             inv = self.G.inv
             mul = self.G.mul
             tmask = self.translate_mask
-            u = 0
+            seen = set()
+            out = []
             for y in self.ylist:
-                u |= tmask(mul(e, inv(y)))
-            self.union_cache[e] = u
-        return u
+                g = mul(e, inv(y))
+                m = tmask(g)
+                if m not in seen:
+                    seen.add(m)
+                    out.append((g, m))
+            self.through_cache[e] = out
+        return out
+
+    def candidates(self, uncovered):
+        """Translates through the lowest uncovered element, sorted by
+        descending fresh coverage with the translator breaking ties."""
+        e = (uncovered & -uncovered).bit_length() - 1
+        return sorted(self.through(e),
+                      key=lambda gm: (-(gm[1] & uncovered).bit_count(), gm[0]))
 
     def packing_bound(self, uncovered, limit):
         """Greedily pick elements no single translate covers twice; their
@@ -163,7 +156,8 @@ class _CoverSearch:
             count += 1
             if count > limit:
                 return count
-            rem &= ~self.element_union(e)
+            for _, m in self.through(e):
+                rem &= ~m
         return count
 
     def greedy(self):
@@ -173,25 +167,34 @@ class _CoverSearch:
             g, m = self.candidates(uncovered)[0]
             chosen.append(g)
             uncovered &= ~m
-        return chosen
+        return tuple(chosen)
 
-    def run(self):
-        greedy_sel = self.greedy()
+    def search(self, k=None):
+        """A least cover when k is None, otherwise any cover by at most k
+        translates or None, as a tuple of translators."""
         lb = -(-self.G.order // len(self.ylist))
-        if len(greedy_sel) > lb:
-            lb = max(lb, self.packing_bound(self.full, len(greedy_sel)))
-        if len(greedy_sel) == lb:
-            return len(greedy_sel), tuple(greedy_sel)
-        self.best = len(greedy_sel)
-        self.best_sel = list(greedy_sel)
-        self.dfs(self.full, [])
-        return self.best, tuple(self.best_sel)
+        goal = lb if k is None else k
+        if lb > goal:
+            return None
+        sel = self.greedy()
+        if len(sel) <= goal:
+            return sel
+        if k is None:
+            self.best, self.best_sel = len(sel), sel
+        else:
+            self.best, self.best_sel = k + 1, None
+        lb = max(lb, self.packing_bound(self.full, self.best - 1))
+        self.goal = lb if k is None else k
+        if lb < self.best:
+            self.dfs(self.full, [])
+        return self.best_sel
 
     def dfs(self, uncovered, chosen):
+        """Keep a cover strictly smaller than best; stop at the goal."""
         if not uncovered:
             if len(chosen) < self.best:
                 self.best = len(chosen)
-                self.best_sel = list(chosen)
+                self.best_sel = tuple(chosen)
             return
         need = -(-uncovered.bit_count() // len(self.ylist))
         if len(chosen) + need >= self.best:
@@ -204,37 +207,7 @@ class _CoverSearch:
             chosen.append(g)
             self.dfs(uncovered & ~m, chosen)
             chosen.pop()
-
-    def decide(self, k):
-        """A cover with at most k translators, or None when impossible."""
-        lb = -(-self.G.order // len(self.ylist))
-        if lb > k:
-            return None
-        greedy_sel = self.greedy()
-        if len(greedy_sel) <= k:
-            return greedy_sel
-        if self.packing_bound(self.full, k) > k:
-            return None
-        self.found = None
-        self._decide_dfs(self.full, [], k)
-        return self.found
-
-    def _decide_dfs(self, uncovered, chosen, k):
-        if not uncovered:
-            self.found = list(chosen)
-            return
-        need = -(-uncovered.bit_count() // len(self.ylist))
-        if len(chosen) + need > k:
-            return
-        self.nodes += 1
-        if self.nodes > self.budget.node_cap:
-            raise BudgetExceeded(
-                f"cover search passed {self.budget.node_cap} nodes")
-        for g, m in self.candidates(uncovered):
-            chosen.append(g)
-            self._decide_dfs(uncovered & ~m, chosen, k)
-            chosen.pop()
-            if self.found is not None:
+            if self.best <= self.goal:
                 return
 
 
@@ -247,8 +220,8 @@ def cover_number(G, Y, budget=DEFAULT_BUDGET):
         raise EmptySubset("the empty set admits no cover")
     if Y.size == G.order:
         return 1, (G.identity,)
-    k, sel = _CoverSearch(G, Y, budget).run()
-    return k, sel
+    sel = _CoverSearch(G, Y, budget).search()
+    return len(sel), sel
 
 
 def is_k_generic(G, X, k, budget=DEFAULT_BUDGET):
@@ -256,26 +229,21 @@ def is_k_generic(G, X, k, budget=DEFAULT_BUDGET):
         return False, None
     if X.size == G.order:
         return True, CoverCertificate((G.identity,), True)
-    sel = _CoverSearch(G, X, budget).decide(k)
-    if sel is not None:
-        return True, CoverCertificate(tuple(sel), True)
-    return False, None
+    sel = _CoverSearch(G, X, budget).search(k)
+    if sel is None:
+        return False, None
+    return True, CoverCertificate(sel, True)
 
 
 def is_k_large(G, X, k, budget=DEFAULT_BUDGET):
     """Whether every k left translates of X meet; on failure the witness
     translators give k translates of the complement that cover G, i.e.
     translates of X with empty intersection after inverting."""
-    comp = X.complement()
-    if comp.size == 0:
+    generic, cert = is_k_generic(G, X.complement(), k, budget)
+    if not generic:
         return True, None
-    if X.size == 0:
-        return False, CoverCertificate((G.identity,) * k, True)
-    sel = _CoverSearch(G, comp, budget).decide(k)
-    if sel is None:
-        return True, None
-    sel = tuple(sel) + (sel[-1],) * (k - len(sel))
-    return False, CoverCertificate(sel, True)
+    sel = cert.translators
+    return False, CoverCertificate(sel + (sel[-1],) * (k - len(sel)), True)
 
 
 def genericity_number(G, X, budget=DEFAULT_BUDGET):
@@ -288,13 +256,12 @@ def genericity_number(G, X, budget=DEFAULT_BUDGET):
 
 def largeness_number(G, X, budget=DEFAULT_BUDGET):
     """Greatest k such that X is k-large; UNBOUNDED for the full group."""
-    comp = X.complement()
-    if comp.size == 0:
-        return UNBOUNDED, None
     if X.size == 0:
         return 0, None
-    n, sel = cover_number(G, comp, budget)
-    return n - 1, CoverCertificate(sel, True)
+    n, cert = genericity_number(G, X.complement(), budget)
+    if n is INFINITE:
+        return UNBOUNDED, None
+    return n - 1, cert
 
 
 def largeness_report(G, X, budget=DEFAULT_BUDGET):

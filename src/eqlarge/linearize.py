@@ -36,6 +36,7 @@ from .words import (
     expand_engel,
     is_supercommutator,
     to_text,
+    word_constants,
     word_variables,
 )
 
@@ -289,7 +290,7 @@ def linearization_identity_holds(G, v, xbar, ybar, phi, samples=100, seed=0,
     v = expand_engel(v)
     rng = random.Random(seed)
     top = max([i for i in (*xbar, *ybar, *word_variables(v))], default=-1)
-    names = [c for c in _word_constants_sorted(v) if not c.startswith("#")]
+    names = [c for c in sorted(word_constants(v)) if not c.startswith("#")]
     for _ in range(samples):
         consts = dict(constants or {})
         for name in names:
@@ -320,8 +321,7 @@ def product_identity_holds(G, factors, xbar, ybar, phi, prefix, samples=50,
     top = max([i for i in (*xbar, *ybar, *all_vars)], default=-1)
     names = set()
     for w in factors:
-        names |= {c for c in _word_constants_sorted(w)
-                  if not c.startswith("#")}
+        names |= {c for c in word_constants(w) if not c.startswith("#")}
     for _ in range(samples):
         consts = dict(constants or {})
         for name in sorted(names):
@@ -336,11 +336,6 @@ def product_identity_holds(G, factors, xbar, ybar, phi, prefix, samples=50,
         if lhs != rhs:
             return False
     return True
-
-
-def _word_constants_sorted(w):
-    from .words import word_constants
-    return sorted(word_constants(w))
 
 
 def enumerate_sweep_shapes():

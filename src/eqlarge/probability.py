@@ -8,6 +8,7 @@ variable most significant).  All fractions are exact.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,8 +25,8 @@ from .words import (
     Equation,
     evaluate,
     parse_equation,
-    resolve_constant,
     word_arity,
+    word_variables,
 )
 
 __all__ = [
@@ -93,36 +94,20 @@ def _check_limits(G, arity, limits):
             f"{G.order}**{arity} assignments exceed {limits.index_cap}")
 
 
-def _assignments(G, arity):
-    """Tuples in power-group index order: index = sum a_i * n**(arity-1-i)."""
-    n = G.order
-    if arity == 0:
-        yield 0, ()
-        return
-    total = n ** arity
-    for idx in range(total):
-        rest = idx
-        tup = [0] * arity
-        for pos in range(arity - 1, -1, -1):
-            tup[pos] = rest % n
-            rest //= n
-        yield idx, tuple(tup)
-
-
 def solution_set(G, equation, constants=None, limits=DEFAULT_LIMITS):
     """All assignments satisfying the equation, as bits over the power."""
     if isinstance(equation, str):
         equation = parse_equation(equation)
     arity = equation.arity
     _check_limits(G, arity, limits)
-    rhs_const = not (set(range(arity))
-                     & _equation_side_vars(equation.rhs))
+    rhs_const = not word_variables(equation.rhs)
     rhs_val = None
     if rhs_const:
         rhs_val = evaluate(G, equation.rhs, (0,) * arity, constants)
     bits = 0
     count = 0
-    for idx, tup in _assignments(G, arity):
+    for idx, tup in enumerate(itertools.product(range(G.order),
+                                                repeat=arity)):
         lv = evaluate(G, equation.lhs, tup, constants)
         rv = rhs_val if rhs_const else evaluate(G, equation.rhs, tup,
                                                 constants)
@@ -130,11 +115,6 @@ def solution_set(G, equation, constants=None, limits=DEFAULT_LIMITS):
             bits |= 1 << idx
             count += 1
     return SolutionSet(G, arity, bits, count)
-
-
-def _equation_side_vars(word):
-    from .words import word_variables
-    return word_variables(word)
 
 
 def solution_sets_by_value(G, word, constants=None, limits=DEFAULT_LIMITS):
@@ -151,7 +131,8 @@ def solution_sets_by_value(G, word, constants=None, limits=DEFAULT_LIMITS):
     _check_limits(G, arity, limits)
     bits = {}
     counts = {}
-    for idx, tup in _assignments(G, arity):
+    for idx, tup in enumerate(itertools.product(range(G.order),
+                                                repeat=arity)):
         v = evaluate(G, word, tup, constants)
         bits[v] = bits.get(v, 0) | (1 << idx)
         counts[v] = counts.get(v, 0) + 1
@@ -239,8 +220,3 @@ def autocommutativity_degree(G, H, action_pair, limits=DEFAULT_LIMITS):
         sigma_order=A.order,
         subset_size=H.size,
     )
-
-
-def resolve_all(G, names, constants=None):
-    """Convenience: resolve a list of constant names to element indices."""
-    return tuple(resolve_constant(G, n, constants) for n in names)

@@ -15,6 +15,7 @@ witnesses too); oq_gamma_k finds none.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ from .group import (
     inner_automorphisms,
     is_2_engel,
     is_abelian,
+    is_subgroup,
     max_centralizer_index,
     mc_witness,
     nilpotency_class,
@@ -138,19 +140,6 @@ def _order_counts(G):
             for d in _divisors(G.order)}
 
 
-def _subset_is_subgroup(G, elems):
-    s = set(elems)
-    if G.identity not in s:
-        return False
-    for a in elems:
-        if G.inv(a) not in s:
-            return False
-        for b in elems:
-            if G.mul(a, b) not in s:
-                return False
-    return True
-
-
 def _power_large(G, sols, k):
     """Exact k-largeness of a solution set inside the direct power."""
     P = power(G, sols.arity)
@@ -214,7 +203,7 @@ def check_iiyori_yamaki(G):
         sols = [g for g in range(G.order) if d % orders[g] == 0]
         if len(sols) == d:
             seen = True
-            if not _subset_is_subgroup(G, sols):
+            if not is_subgroup(G, sols):
                 bad.append(d)
     witness = {"failing_divisors": bad} if bad else None
     return _result("iiyori_yamaki", G, seen, not bad, None, witness)
@@ -436,21 +425,12 @@ def check_central_identity(G):
                     continue
                 hyp_any = True
                 dropped = {"g": G.identity}
-                for tup in _tuples(Z, nvars):
+                for tup in itertools.product(Z, repeat=nvars):
                     if evaluate(G, word, tup, dropped) != G.identity:
                         return _result("central_identity", G, True, False,
                                        None, {"word": text, "g": g,
                                               "value": c, "tuple": list(tup)})
     return _result("central_identity", G, hyp_any, True)
-
-
-def _tuples(pool, n):
-    if n == 0:
-        yield ()
-        return
-    for rest in _tuples(pool, n - 1):
-        for a in pool:
-            yield rest + (a,)
 
 
 def check_center_gcd(G):
@@ -573,12 +553,11 @@ def check_cube_67(G):
 def check_comm_product(G):
     """A product of commutators [x_i, g_i] = c is 2-large only when every
     g_i is central and c is the identity; otherwise it misses half."""
-    noncentral = [g for g in range(G.order)
-                  if not center(G).contains(g)]
+    zen = center(G)
+    noncentral = [g for g in range(G.order) if not zen.contains(g)]
     g2vals = [G.identity] + noncentral[:1]
     hyp_any = False
     margins = []
-    zen = center(G)
 
     def instances():
         for g1 in range(G.order):
@@ -622,8 +601,8 @@ def check_comm_abelian(G):
 def check_word_comm_abelian(G):
     """w * [x,y] = c with y fresh is 4-large only when the group is abelian
     and w = c holds identically; otherwise at most 3/4."""
-    noncentral = [g for g in range(G.order)
-                  if not center(G).contains(g)]
+    zen = center(G)
+    noncentral = [g for g in range(G.order) if not zen.contains(g)]
     gval = noncentral[0] if noncentral else G.identity
     family = [("x1^2", "x1^2*[x1,x2]", None),
               ("[x1,g]", "[x1,g]*[x1,x2]", {"g": gval})]
@@ -792,8 +771,8 @@ def check_nilpotent_identity(G):
     if cls is None:
         return _result("nilpotent_identity", G, False, True)
     need = 2 ** cls
-    noncentral = [g for g in range(G.order)
-                  if not center(G).contains(g)]
+    zen = center(G)
+    noncentral = [g for g in range(G.order) if not zen.contains(g)]
     gval = noncentral[0] if noncentral else G.identity
     family = [("x1^2", None), ("x1^3", None), ("[x1,x2]", None),
               ("[x1,g]", {"g": gval})]

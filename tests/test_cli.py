@@ -137,3 +137,30 @@ def test_budget_exhaustion_exits_3():
                 env_extra={"EQLARGE_BUDGET_NODES": "2"})
     assert p.returncode == 3
     assert "nodes" in p.stderr
+
+
+def test_bad_node_cap_exits_2():
+    subset = ("cover", "C4", "--subset", '{"elements": [0, 1]}')
+    for raw in ("abc", "-5", "0"):
+        p = run_cli(*subset, env_extra={"EQLARGE_BUDGET_NODES": raw})
+        assert p.returncode == 2, raw
+        assert "positive integer" in p.stderr
+        assert "Traceback" not in p.stderr
+    for raw in ("-5", "0"):
+        p = run_cli(*subset, "--budget-nodes", raw)
+        assert p.returncode == 2, raw
+        assert "positive integer" in p.stderr
+        assert "Traceback" not in p.stderr
+    p = run_cli(*subset, "--budget-nodes", "5",
+                env_extra={"EQLARGE_BUDGET_NODES": "abc"})
+    assert p.returncode == 0
+    assert p.stdout.splitlines()[0] == "2"
+
+
+def test_bad_subset_elements_exit_2():
+    for elements in ("[0, \"a\"]", "[0, 1.5]", "5"):
+        p = run_cli("cover", "C4", "--subset",
+                    '{"elements": %s}' % elements)
+        assert p.returncode == 2, elements
+        assert "Traceback" not in p.stderr
+        assert '"elements"' in p.stderr

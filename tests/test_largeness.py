@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqlarge.catalog import catalog
+from eqlarge.catalog import catalog, catalog_upto
 from eqlarge.errors import BudgetExceeded, EmptySubset
 from eqlarge.group import (
     Subset,
@@ -18,6 +18,7 @@ from eqlarge.group import (
 from eqlarge.largeness import (
     INFINITE,
     UNBOUNDED,
+    CoverCertificate,
     SearchBudget,
     at_least,
     cover_number,
@@ -104,6 +105,12 @@ def test_edge_subsets():
     assert is_k_generic(S3, full, 1)[0]
     assert largeness_number(S3, empty)[0] == 0
     assert genericity_number(S3, full)[0] == 1
+    for k in (1, 2, 3):
+        assert is_k_large(S3, empty, k) == (
+            False, CoverCertificate((S3.identity,) * k, True))
+        assert is_k_large(S3, full, k) == (True, None)
+    assert largeness_number(S3, empty) == (0, None)
+    assert largeness_number(S3, full) == (UNBOUNDED, None)
 
 
 def test_at_least_handles_sentinels():
@@ -244,3 +251,47 @@ def test_report_bundle():
     assert rep.elapsed >= 0
     assert rep.genericity_number == 3
     assert rep.largeness_number == 1
+
+
+def test_decision_keeps_the_first_cover_within_k():
+    # at most 6 translates: the first cover met, not a least one
+    C15 = catalog("C15")
+    Y = Subset(C15, 1064)
+    assert is_k_generic(C15, Y, 6) == (
+        True, CoverCertificate((5, 6, 12, 0, 9, 3), True))
+    assert cover_number(C15, Y) == (5, (5, 11, 14, 8, 2))
+
+
+def test_least_cover_keeps_the_first_of_equal_size():
+    # replacing the best cover on an equal-size leaf gives (4, 10, 1, 13)
+    C18 = catalog("C18")
+    assert largeness_number(C18, Subset(C18, 242039)) == (
+        3, CoverCertificate((4, 10, 1, 2), True))
+
+
+MID_GROUPS = [G for G in catalog_upto(24) if 9 <= G.order]
+
+
+@st.composite
+def mid_subsets(draw):
+    G = draw(st.sampled_from(MID_GROUPS))
+    full = (1 << G.order) - 1
+    bits = draw(st.integers(1, full - 1))
+    if draw(st.booleans()):
+        bits ^= full
+    return G, Subset(G, bits)
+
+
+@given(mid_subsets(), st.integers(min_value=1, max_value=5))
+@settings(max_examples=60, deadline=None)
+def test_engine_against_definitions(case, k):
+    G, Y = case
+    n, translators = cover_number(G, Y)
+    union = 0
+    for g in translators:
+        union |= left_translate(G, Y, g).bits
+    assert union == (1 << G.order) - 1
+    if n > 1:
+        assert is_k_generic(G, Y, n - 1) == (False, None)
+    if G.order ** (k - 1) <= 10 ** 6:
+        assert is_k_large(G, Y, k)[0] == naive_is_k_large(G, Y, k)
