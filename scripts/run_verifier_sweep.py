@@ -34,11 +34,10 @@ def main(argv=None):
     elapsed = time.monotonic() - start
 
     for r in results:
-        passed = (not r.hypothesis_holds) or r.conclusion_holds
-        if args.failures_only and passed:
+        if args.failures_only and r.passed:
             continue
-        status = "pass" if passed else "FAIL"
-        if not r.hypothesis_holds:
+        status = "pass" if r.passed else "FAIL"
+        if r.vacuous:
             status = "vac "
         margin = "" if r.margin is None else f"  margin {r.margin}"
         print(f"{status}  {r.check_id:<18} {r.group_label:<6}{margin}")

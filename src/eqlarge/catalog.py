@@ -18,6 +18,7 @@ import re
 from .errors import NotAPermutation, UnknownSpec
 from .group import (
     TableGroup,
+    _composition_group,
     cycle_name,
     direct_product,
     from_cayley_table,
@@ -74,20 +75,11 @@ def dihedral(n):
                       validate=False)
 
 
-def _perm_table(perms, label):
-    index = {p: i for i, p in enumerate(perms)}
-    deg = len(perms[0])
-    table = [[index[tuple(p[q[i]] for i in range(deg))] for q in perms]
-             for p in perms]
-    names = tuple(cycle_name(p) for p in perms)
-    return TableGroup(table, names=names, label=label, validate=False)
-
-
 def symmetric(n):
     if not 1 <= n <= 6:
         raise UnknownSpec(f"S{n}: supported range is 1..6")
     perms = list(itertools.permutations(range(n)))
-    return _perm_table(perms, f"S{n}")
+    return _composition_group(perms, tuple(map(cycle_name, perms)), f"S{n}")
 
 
 def _parity(p):
@@ -103,7 +95,7 @@ def alternating(n):
     if not 1 <= n <= 6:
         raise UnknownSpec(f"A{n}: supported range is 1..6")
     perms = [p for p in itertools.permutations(range(n)) if _parity(p) == 0]
-    return _perm_table(perms, f"A{n}")
+    return _composition_group(perms, tuple(map(cycle_name, perms)), f"A{n}")
 
 
 def quaternion():

@@ -16,28 +16,16 @@ import time
 from . import verifier
 from .catalog import catalog, catalog_upto, parse_group_list
 from .errors import (
-    ActionNotClosed,
-    ArityMismatch,
     BudgetExceeded,
-    EmptySubset,
     EqlargeError,
     IndexBound,
-    NoXVariable,
-    NotAGroup,
-    NotAPermutation,
-    NotAProductOfSupercommutators,
-    NotASubgroup,
-    NotASupercommutator,
-    NotNormal,
     OrderBound,
     ParseError,
-    PreconditionViolated,
     UnboundConstant,
     UnknownCheck,
-    UnknownQuestion,
-    UnknownSpec,
 )
 from .group import (
+    ProductGroup,
     Subset,
     automorphism_group,
     center,
@@ -69,24 +57,6 @@ from .words import parse_equation
 
 __all__ = ["main"]
 
-USAGE_ERRORS = (
-    ParseError,
-    UnknownSpec,
-    NotAGroup,
-    NotAPermutation,
-    NotASubgroup,
-    NotNormal,
-    UnboundConstant,
-    ArityMismatch,
-    EmptySubset,
-    UnknownCheck,
-    UnknownQuestion,
-    PreconditionViolated,
-    NotASupercommutator,
-    NoXVariable,
-    NotAProductOfSupercommutators,
-    ActionNotClosed,
-)
 BUDGET_ERRORS = (OrderBound, IndexBound, BudgetExceeded)
 
 
@@ -175,13 +145,12 @@ def _cmd_solve(args):
     sols = solution_set(G, eq, consts)
     total = G.order ** sols.arity
     shown = []
-    P = power(G, sols.arity) if sols.arity > 1 else None
-    origin = getattr(P, "_product_origin", P) if P is not None else None
+    P = ProductGroup((G,) * sols.arity)
     for idx in sols.indices():
-        if sols.arity <= 1:
-            shown.append([G.name(idx)])
-        else:
-            shown.append([G.name(v) for v in origin.decode(idx)])
+        # a variable-free equation's one solution, index 0, prints as
+        # G.name(0)
+        shown.append([G.name(v) for v in P.decode(idx)] if sols.arity
+                     else [G.name(idx)])
         if len(shown) >= args.max_solutions:
             break
     payload = {
@@ -496,9 +465,6 @@ def _main(argv):
     except BUDGET_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except EqlargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

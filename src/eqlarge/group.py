@@ -1,9 +1,12 @@
 """Finite groups on 0-based element indices.
 
-A group is either backed by an explicit Cayley table or by a tuple of factor
-groups multiplied componentwise (used for direct powers too large to
-materialize).  All derived machinery (centralizers, central series,
-quotients, automorphisms) lives here as module-level functions.
+A group is backed by an explicit Cayley table or is a direct product of
+factor groups.  ProductGroup owns the package's one tuple<->index codec
+for products and powers (leftmost factor most significant).  direct_product
+and power fold a product's table from the factor tables up to 1024
+elements and multiply componentwise above that.  All derived machinery
+(centralizers, central series, quotients, automorphisms) lives here as
+module-level functions.
 """
 
 from __future__ import annotations
@@ -220,20 +223,25 @@ class TableGroup(Group):
     def inv(self, a):
         return self.inverses[a]
 
+    def _rows(self):
+        return self.table
+
 
 class ProductGroup(Group):
-    """Direct product multiplied componentwise; the table stays implicit.
+    """Direct product of factor groups.
 
     Element index is mixed-radix with the leftmost factor most significant,
     matching itertools.product order over the factor element ranges.
+    encode, decode and tuples are the package's one tuple<->index codec.
+    A ProductGroup built directly multiplies componentwise and keeps no
+    table; direct_product and power keep a table up to
+    TABLE_MATERIALIZE_BOUND elements.
     """
 
     def __init__(self, factors, label=None):
         super().__init__()
         self.factors = tuple(factors)
-        order = 1
-        for f in self.factors:
-            order *= f.order
+        order = math.prod(f.order for f in self.factors)
         if order > INDEX_BOUND:
             raise OrderBound(
                 f"product order {order} exceeds index bound {INDEX_BOUND}")
@@ -262,6 +270,10 @@ class ProductGroup(Group):
             acc += v * s
         return acc
 
+    def tuples(self):
+        """Every element as a tuple of factor elements, in index order."""
+        return itertools.product(*(range(f.order) for f in self.factors))
+
     def mul(self, a, b):
         acc = 0
         for f, s in zip(self.factors, self.strides):
@@ -273,6 +285,33 @@ class ProductGroup(Group):
         for f, s in zip(self.factors, self.strides):
             acc += f.inv((a // s) % f.order) * s
         return acc
+
+    def _rows(self):
+        """The Cayley table folded from the factor tables, one factor F of
+        order n at a time: (p, x) in P x F has index p * n + x."""
+        rows = ((0,),)
+        for f in self.factors:
+            n = f.order
+            frows = f._rows()
+            rows = tuple(tuple(t * n + v for t in row for v in frow)
+                         for row in rows for frow in frows)
+        return rows
+
+
+class _TabledProduct(TableGroup, ProductGroup):
+    """A product that keeps its table: TableGroup lookups for mul and inv,
+    the ProductGroup codec for tuples, and elements named by their
+    components."""
+
+    def __init__(self, factors, label=None):
+        ProductGroup.__init__(self, factors, label)
+        # named explicitly: the MRO resolves _rows to TableGroup's, which
+        # returns the table being built here
+        self.table = ProductGroup._rows(self)
+        self.inverses = tuple(row.index(self.identity) for row in self.table)
+        self.names = tuple(
+            "(" + ",".join(parts) + ")" for parts in itertools.product(
+                *([f.name(v) for v in range(f.order)] for f in self.factors)))
 
 
 @dataclass(frozen=True)
@@ -407,73 +446,56 @@ def from_permutation_generators(degree, generators, label=None,
                 index[q] = len(elems)
                 elems.append(q)
                 queue.append(q)
-    n = len(elems)
-    table = []
-    for p in elems:
-        row = []
-        for q in elems:
-            row.append(index[tuple(p[q[i]] for i in range(degree))])
-        table.append(row)
-    names = tuple(cycle_name(p) for p in elems)
     if label is None:
-        label = f"perm{degree}<{n}>"
+        label = f"perm{degree}<{len(elems)}>"
+    return _composition_group(elems, tuple(map(cycle_name, elems)), label)
+
+
+def _composition_group(perms, names, label):
+    """Distinct permutation tuples as a group: element i times element j
+    is perms[i] after perms[j].  NotAGroup when the set is not closed."""
+    index = {p: i for i, p in enumerate(perms)}
+    table = []
+    for p in perms:
+        try:
+            table.append([index[tuple(p[i] for i in q)] for q in perms])
+        except KeyError:
+            raise NotAGroup("permutation set is not closed under "
+                            "composition") from None
     return TableGroup(table, names=names, label=label, validate=False)
 
 
-def _materialize(product, names_parts=None):
-    """Convert a small ProductGroup to a TableGroup with explicit rows."""
-    n = product.order
-    table = [[product.mul(a, b) for b in range(n)] for a in range(n)]
-    names = None
-    if names_parts:
-        names = []
-        for g in range(n):
-            parts = product.decode(g)
-            names.append("(" + ",".join(f.name(v) for f, v in
-                                        zip(product.factors, parts)) + ")")
-        names = tuple(names)
-    return TableGroup(table, names=names, label=product.label, validate=False)
+def _product(factors, label):
+    """The one size rule for built products: a table folded from the
+    factor tables up to TABLE_MATERIALIZE_BOUND elements, componentwise
+    multiplication above it."""
+    if math.prod(f.order for f in factors) <= TABLE_MATERIALIZE_BOUND:
+        return _TabledProduct(factors, label)
+    return ProductGroup(factors, label)
 
 
 def direct_product(*factors, label=None):
-    prod = ProductGroup(factors, label=label)
-    if prod.order <= TABLE_MATERIALIZE_BOUND:
-        result = _materialize(prod, names_parts=True)
-        result._product_origin = prod
-        return result
-    return prod
+    return _product(factors, label)
 
 
 def projections(P):
     """Coordinate projections of a direct product, as Homomorphisms."""
-    origin = getattr(P, "_product_origin", P)
-    if not isinstance(origin, ProductGroup):
+    if not isinstance(P, ProductGroup):
         raise NotAGroup(f"{P.label} was not built as a direct product")
-    out = []
-    for i, f in enumerate(origin.factors):
-        mapping = [origin.decode(g)[i] for g in range(P.order)]
-        out.append(Homomorphism(P, f, mapping, validate=False))
-    return out
+    columns = zip(*P.tuples())
+    return [Homomorphism(P, f, column, validate=False)
+            for f, column in zip(P.factors, columns)]
 
 
-def power(G, n, materialize_bound=TABLE_MATERIALIZE_BOUND):
+def power(G, n):
     """Direct power G^n, cached on G.  n = 0 gives the trivial group."""
     if n < 0:
         raise OrderBound("negative power")
     cached = G._powers.get(n)
-    if cached is not None:
-        return cached
-    if n == 1:
-        result = G
-    else:
-        prod = ProductGroup((G,) * n, label=f"{G.label}^{n}")
-        if prod.order <= materialize_bound:
-            result = _materialize(prod, names_parts=False)
-            result._product_origin = prod
-        else:
-            result = prod
-    G._powers[n] = result
-    return result
+    if cached is None:
+        cached = G if n == 1 else _product((G,) * n, f"{G.label}^{n}")
+        G._powers[n] = cached
+    return cached
 
 
 def is_subgroup(G, sub):
@@ -715,24 +737,12 @@ def _greedy_generators(G):
     return gens
 
 
-def _maps_to_action_group(G, maps, label):
-    """Wrap a list of automorphism tuples as a group under composition."""
-    maps = sorted(set(maps))
-    index = {m: i for i, m in enumerate(maps)}
-    k = len(maps)
-    table = []
-    for p in maps:
-        row = []
-        for q in maps:
-            composed = tuple(p[q[g]] for g in range(G.order))
-            try:
-                row.append(index[composed])
-            except KeyError:
-                raise NotAGroup("automorphism set is not closed") from None
-        table.append(row)
-    names = tuple(f"a{i}" for i in range(k))
-    A = TableGroup(table, names=names, label=label, validate=False)
-    return A, tuple(maps)
+def _action_group(maps, label):
+    """Distinct automorphism tuples, sorted, as a group under composition,
+    together with that sorted tuple of maps."""
+    maps = tuple(sorted(set(maps)))
+    names = tuple(f"a{i}" for i in range(len(maps)))
+    return _composition_group(maps, names, label), maps
 
 
 def automorphism_group(G):
@@ -787,19 +797,19 @@ def automorphism_group(G):
                 break
         if ok:
             maps.append(tuple(m))
-    return _maps_to_action_group(G, maps, f"Aut({G.label})")
+    return _action_group(maps, f"Aut({G.label})")
 
 
 def inner_automorphisms(G):
     maps = set()
     for a in range(G.order):
         maps.add(tuple(G.conj(g, a) for g in range(G.order)))
-    return _maps_to_action_group(G, maps, f"Inn({G.label})")
+    return _action_group(maps, f"Inn({G.label})")
 
 
 def trivial_action(G):
     ident = tuple(range(G.order))
-    return _maps_to_action_group(G, [ident], f"Id({G.label})")
+    return _action_group([ident], f"Id({G.label})")
 
 
 @dataclass(frozen=True)

@@ -225,6 +225,8 @@ def cover_number(G, Y, budget=DEFAULT_BUDGET):
 
 
 def is_k_generic(G, X, k, budget=DEFAULT_BUDGET):
+    if k < 1:
+        raise ValueError("k must be positive")
     if X.size == 0:
         return False, None
     if X.size == G.order:

@@ -8,13 +8,13 @@ variable most significant).  All fractions are exact.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ActionNotClosed, ArityMismatch, IndexBound
 from .group import (
     Group,
+    ProductGroup,
     Subset,
     class_count,
     direct_product,
@@ -106,8 +106,8 @@ def solution_set(G, equation, constants=None, limits=DEFAULT_LIMITS):
         rhs_val = evaluate(G, equation.rhs, (0,) * arity, constants)
     bits = 0
     count = 0
-    for idx, tup in enumerate(itertools.product(range(G.order),
-                                                repeat=arity)):
+    # a ProductGroup built directly gives the codec without a table
+    for idx, tup in enumerate(ProductGroup((G,) * arity).tuples()):
         lv = evaluate(G, equation.lhs, tup, constants)
         rv = rhs_val if rhs_const else evaluate(G, equation.rhs, tup,
                                                 constants)
@@ -131,8 +131,7 @@ def solution_sets_by_value(G, word, constants=None, limits=DEFAULT_LIMITS):
     _check_limits(G, arity, limits)
     bits = {}
     counts = {}
-    for idx, tup in enumerate(itertools.product(range(G.order),
-                                                repeat=arity)):
+    for idx, tup in enumerate(ProductGroup((G,) * arity).tuples()):
         v = evaluate(G, word, tup, constants)
         bits[v] = bits.get(v, 0) | (1 << idx)
         counts[v] = counts.get(v, 0) + 1
@@ -211,7 +210,7 @@ def autocommutativity_degree(G, H, action_pair, limits=DEFAULT_LIMITS):
         row = action[s]
         for h in H.indices():
             if row[h] == h:
-                bits |= 1 << (s * G.order + h)
+                bits |= 1 << P.encode((s, h))
                 count += 1
     total = A.order * H.size
     return AcReport(

@@ -409,7 +409,8 @@ def check_central_identity(G):
     """If a word equation holds 2-largely, dropping the constants to the
     identity makes it hold identically on central tuples."""
     Z = list(center(G).indices())
-    noncentral = [g for g in range(G.order) if g not in set(Z)]
+    central = set(Z)
+    noncentral = [g for g in range(G.order) if g not in central]
     gvals = [G.identity]
     if noncentral:
         gvals.append(noncentral[0])
@@ -1013,10 +1014,9 @@ def _search_gamma_k(groups):
                 continue
             P = power(G, 2)
             bits = 0
-            for x0 in range(G.order):
-                for x1 in range(G.order):
-                    if cen.contains(G.comm(x0, x1)):
-                        bits |= 1 << (x0 * G.order + x1)
+            for idx, (x0, x1) in enumerate(P.tuples()):
+                if cen.contains(G.comm(x0, x1)):
+                    bits |= 1 << idx
             ok, _ = is_k_large(P, Subset(P, bits), 4)
             if not ok:
                 continue

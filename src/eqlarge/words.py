@@ -164,11 +164,22 @@ def _tokenize(text):
     return out
 
 
+# Deepest word the parser accepts, as the height of the tree once Engel
+# nodes are expanded and as the nesting of brackets.  Parsing recurses four
+# frames per bracket level and evaluating about three per tree level, so an
+# accepted word stays well inside Python's default recursion limit of 1000.
+MAX_WORD_HEIGHT = 128
+
+
 class _Parser:
+    """Recursive descent.  word, term, atom and bracket return the node and
+    its height once Engel nodes are expanded; depth counts open brackets."""
+
     def __init__(self, text):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -184,30 +195,39 @@ class _Parser:
             raise ParseError(f"expected {value!r}, found {val!r}",
                              position=pos)
 
+    def capped(self, height, pos):
+        if height > MAX_WORD_HEIGHT:
+            raise ParseError(f"word is more than {MAX_WORD_HEIGHT} levels "
+                             f"deep", position=pos)
+        return height
+
     def word(self):
-        node = self.term()
+        node, h = self.term()
         while self.peek()[1] == "*":
-            self.take()
-            node = Prod(node, self.term())
-        return node
+            pos = self.take()[2]
+            right, hr = self.term()
+            node, h = Prod(node, right), self.capped(max(h, hr) + 1, pos)
+        return node, h
 
     def term(self):
-        node = self.atom()
+        node, h = self.atom()
         while self.peek()[1] == "^":
-            self.take()
-            kind, val, pos = self.peek()
+            pos = self.take()[2]
+            kind, val, _ = self.peek()
             if kind == "int":
                 self.take()
                 k = int(val)
                 node = Inv(node) if k == -1 else Pow(node, k)
             else:
-                node = Conj(node, self.atom())
-        return node
+                by, hb = self.atom()
+                node, h = Conj(node, by), max(h, hb)
+            h = self.capped(h + 1, pos)
+        return node, h
 
     def atom(self):
         kind, val, pos = self.take()
         if kind == "lit":
-            return Const(val)
+            return Const(val), 1
         if kind == "name":
             m = re.fullmatch(r"x(\d+)", val)
             if m:
@@ -215,14 +235,17 @@ class _Parser:
                 if idx < 1:
                     raise ParseError("variables are numbered from x1",
                                      position=pos)
-                return Var(idx - 1)
-            return Const(val)
-        if val == "(":
-            node = self.word()
-            self.expect(")")
-            return node
-        if val == "[":
-            return self.bracket(pos)
+                return Var(idx - 1), 1
+            return Const(val), 1
+        if val in ("(", "["):
+            self.depth = self.capped(self.depth + 1, pos)
+            if val == "(":
+                result = self.word()
+                self.expect(")")
+            else:
+                result = self.bracket(pos)
+            self.depth -= 1
+            return result
         raise ParseError(f"unexpected token {val!r}", position=pos)
 
     def bracket(self, open_pos):
@@ -252,16 +275,18 @@ class _Parser:
             if len(parts) != 2:
                 raise ParseError("Engel form takes exactly two arguments",
                                  position=open_pos)
-            return Engel(parts[0], parts[1], engel_n)
-        node = Comm(parts[0], parts[1])
-        for extra in parts[2:]:
-            node = Comm(node, extra)
-        return node
+            (left, hl), (right, hr) = parts
+            return (Engel(left, right, engel_n),
+                    self.capped(max(hl, hr) + engel_n, open_pos))
+        node, h = parts[0]
+        for extra, he in parts[1:]:
+            node, h = Comm(node, extra), self.capped(max(h, he) + 1, open_pos)
+        return node, h
 
 
 def parse_word(text):
     p = _Parser(text)
-    node = p.word()
+    node, _ = p.word()
     kind, val, pos = p.peek()
     if kind != "end":
         raise ParseError(f"trailing input {val!r}", position=pos)

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+from eqlarge.words import MAX_WORD_HEIGHT
+
 BUDGET_TRAP = {"elements": [2, 3, 8, 12, 14, 15, 18, 19]}
 
 
@@ -164,3 +166,26 @@ def test_bad_subset_elements_exit_2():
         assert p.returncode == 2, elements
         assert "Traceback" not in p.stderr
         assert '"elements"' in p.stderr
+
+
+def test_over_deep_words_exit_2():
+    cap = MAX_WORD_HEIGHT
+    deep = ("[x1,x2;100000]", "*".join(["x1"] * 3000),
+            "(" * 3000 + "x1" + ")" * 3000)
+    for word in deep:
+        p = run_cli("prob", "S3", word + "=#e")
+        assert p.returncode == 2, word[:20]
+        assert "Traceback" not in p.stderr
+        assert "levels deep" in p.stderr
+    just_under = {
+        f"[x1,x2;{cap - 1}]": "2/3 (~0.666667)",
+        "*".join(["x1"] * cap): "2/3 (~0.666667)",
+        "(" * cap + "x1" + ")" * cap: "1/6 (~0.166667)",
+    }
+    for word, fraction in just_under.items():
+        p = run_cli("prob", "S3", word + "=#e")
+        assert p.returncode == 0, word[:20]
+        assert p.stdout.strip() == fraction
+    for word in (f"[x1,x2;{cap}]", "*".join(["x1"] * (cap + 1)),
+                 "(" * (cap + 1) + "x1" + ")" * (cap + 1)):
+        assert run_cli("prob", "S3", word + "=#e").returncode == 2

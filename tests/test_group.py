@@ -1,9 +1,13 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eqlarge.catalog import catalog, parse_group_list
 from eqlarge.errors import NotAGroup, NotASubgroup, NotNormal, OrderBound
 from eqlarge.group import (
+    TABLE_MATERIALIZE_BOUND,
+    ProductGroup,
     Subset,
+    TableGroup,
     automorphism_group,
     center,
     centralizer,
@@ -31,6 +35,7 @@ from eqlarge.group import (
     subgroup_generated,
     upper_central_series,
 )
+from eqlarge.probability import solution_set
 
 
 def check_axioms(G):
@@ -105,10 +110,75 @@ def test_products_and_powers():
 def test_mixed_radix_is_leftmost_major():
     G = catalog("C3")
     P = power(G, 2)
-    origin = getattr(P, "_product_origin", P)
-    assert origin.encode((1, 0)) == 3
-    assert origin.encode((0, 1)) == 1
-    assert origin.decode(5) == (1, 2)
+    assert P.encode((1, 0)) == 3
+    assert P.encode((0, 1)) == 1
+    assert P.decode(5) == (1, 2)
+
+
+SMALL = ["C1", "C2", "C3", "C4", "S3", "Q8"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(SMALL), max_size=4))
+def test_codec_round_trips(specs):
+    factors = [catalog(s) for s in specs]
+    for P in (ProductGroup(factors), direct_product(*factors)):
+        tuples = list(P.tuples())
+        assert len(tuples) == P.order
+        for idx, parts in enumerate(tuples):
+            assert P.decode(idx) == parts
+            assert P.encode(parts) == idx
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL), st.integers(1, 3), st.data())
+def test_codec_order_is_solution_bit_order(spec, arity, data):
+    G = catalog(spec)
+    i = data.draw(st.integers(0, arity - 1))
+    c = data.draw(st.integers(0, G.order - 1))
+    # x_arity^0 is the identity; it only fixes the arity
+    sols = solution_set(G, f"x{i + 1}*x{arity}^0=#{c}")
+    P = ProductGroup((G,) * arity)
+    assert set(sols.indices()) == {
+        idx for idx in range(P.order) if P.decode(idx)[i] == c}
+
+
+def test_folded_tables_match_componentwise_products():
+    C2, C3, S3 = catalog("C2"), catalog("C3"), catalog("S3")
+    products = [
+        direct_product(S3, C2),
+        power(catalog("C4"), 3),
+        direct_product(catalog("D4"), catalog("Q8")),
+        direct_product(ProductGroup((C2, C3)), S3),
+        direct_product(direct_product(C2, C3), C2),
+        power(C2, 0),
+    ]
+    for P in products:
+        assert isinstance(P, TableGroup) and isinstance(P, ProductGroup)
+        for a in range(P.order):
+            assert P.inv(a) == ProductGroup.inv(P, a)
+            for b in range(P.order):
+                assert P.mul(a, b) == ProductGroup.mul(P, a, b)
+        check_axioms(P)
+    edge = power(C2, 10)
+    assert edge.order == TABLE_MATERIALIZE_BOUND
+    assert isinstance(edge, TableGroup)
+    assert direct_product(S3, C2).names[:3] == ("(e,0)", "(e,1)", "((2 3),0)")
+
+
+def test_products_above_the_bound_stay_componentwise():
+    G = catalog("E2^3")
+    A, _ = automorphism_group(G)
+    P = direct_product(A, G)
+    assert P.order == 1344 > TABLE_MATERIALIZE_BOUND
+    assert isinstance(P, ProductGroup) and not isinstance(P, TableGroup)
+    for idx, (s, h) in enumerate(P.tuples()):
+        assert P.decode(idx) == (s, h)
+        assert P.encode((s, h)) == idx
+    for a in range(0, P.order, 37):
+        for b in range(0, P.order, 41):
+            (sa, ha), (sb, hb) = P.decode(a), P.decode(b)
+            assert P.decode(P.mul(a, b)) == (A.mul(sa, sb), G.mul(ha, hb))
 
 
 def test_projections_are_homomorphisms():

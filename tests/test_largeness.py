@@ -111,6 +111,10 @@ def test_edge_subsets():
         assert is_k_large(S3, full, k) == (True, None)
     assert largeness_number(S3, empty) == (0, None)
     assert largeness_number(S3, full) == (UNBOUNDED, None)
+    for X in (empty, full):
+        for decide in (is_k_generic, is_k_large, naive_is_k_large):
+            with pytest.raises(ValueError, match="k must be positive"):
+                decide(S3, X, 0)
 
 
 def test_at_least_handles_sentinels():
