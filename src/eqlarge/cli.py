@@ -283,8 +283,6 @@ def _cmd_cover(args):
 
 def _cmd_verify(args):
     groups = parse_group_list(args.groups)
-    if args.jobs < 1:
-        raise ParseError("--jobs must be at least 1")
     selector = args.checks if args.checks else args.what
     check_ids = None
     if selector and selector != "all":
@@ -428,9 +426,6 @@ def _build_parser():
     sp.add_argument("--checks", default=None,
                     help="comma-separated check ids (default: all)")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="cap on worker processes; the current engine "
-                         "uses one")
     sp.add_argument("--format", choices=["text", "json", "csv"],
                     default="text")
     sp.set_defaults(fn=_cmd_verify)

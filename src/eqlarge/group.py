@@ -2,9 +2,10 @@
 
 A group is backed by an explicit Cayley table or is a direct product of
 factor groups.  ProductGroup owns the package's one tuple<->index codec
-for products and powers (leftmost factor most significant).  direct_product
-and power fold a product's table from the factor tables up to 1024
-elements and multiply componentwise above that.  All derived machinery
+for products and powers (leftmost factor most significant).  A product's
+rows (row(h): h*z for every z) are folded from the factor rows;
+direct_product and power keep them as a table up to 1024 elements and
+multiply componentwise above that.  All derived machinery
 (centralizers, central series, quotients, automorphisms) lives here as
 module-level functions.
 """
@@ -89,6 +90,10 @@ class Group:
     def inv(self, a):
         raise NotImplementedError
 
+    def row(self, h):
+        """The products h*z for every element z, in index order."""
+        raise NotImplementedError
+
     def conj(self, a, b):
         """a conjugated by b, that is b^-1 * a * b."""
         return self.mul(self.mul(self.inv(b), a), b)
@@ -121,11 +126,16 @@ class Group:
         return str(a)
 
     def element_by_name(self, text):
+        """The element that name() calls text, or None."""
         if self.names is not None:
             try:
                 return self.names.index(text)
             except ValueError:
-                pass
+                return None
+        if text.isdecimal() and str(int(text)) == text:
+            a = int(text)
+            if a < self.order:
+                return a
         return None
 
     def elements(self):
@@ -223,8 +233,8 @@ class TableGroup(Group):
     def inv(self, a):
         return self.inverses[a]
 
-    def _rows(self):
-        return self.table
+    def row(self, h):
+        return self.table[h]
 
 
 class ProductGroup(Group):
@@ -232,7 +242,8 @@ class ProductGroup(Group):
 
     Element index is mixed-radix with the leftmost factor most significant,
     matching itertools.product order over the factor element ranges.
-    encode, decode and tuples are the package's one tuple<->index codec.
+    encode, decode and tuples are the package's one tuple<->index codec,
+    and an element is named "(a,b,...)" from its components' names.
     A ProductGroup built directly multiplies componentwise and keeps no
     table; direct_product and power keep a table up to
     TABLE_MATERIALIZE_BOUND elements.
@@ -286,16 +297,46 @@ class ProductGroup(Group):
             acc += f.inv((a // s) % f.order) * s
         return acc
 
-    def _rows(self):
-        """The Cayley table folded from the factor tables, one factor F of
-        order n at a time: (p, x) in P x F has index p * n + x."""
-        rows = ((0,),)
-        for f in self.factors:
+    def row(self, h):
+        """Row h folded from the factor rows of decode(h), one factor F of
+        order n at a time: (p, x) in P x F has index p * n + x.  The fold
+        starts from the first factor's own row, which saves a copy."""
+        if not self.factors:
+            return (0,)
+        parts = self.decode(h)
+        row = self.factors[0].row(parts[0])
+        for f, v in zip(self.factors[1:], parts[1:]):
             n = f.order
-            frows = f._rows()
-            rows = tuple(tuple(t * n + v for t in row for v in frow)
-                         for row in rows for frow in frows)
-        return rows
+            row = tuple(t * n + x for t in row for x in f.row(v))
+        return row
+
+    def name(self, a):
+        return _joined_name(
+            f.name(v) for f, v in zip(self.factors, self.decode(a)))
+
+    def element_by_name(self, text):
+        """Resolve "(a,b,...)" component by component; a comma inside
+        unbalanced parentheses belongs to a component."""
+        if not self.factors:
+            return self.identity if text == "()" else None
+        if not (text.startswith("(") and text.endswith(")")):
+            return None
+        parts = []
+        for piece in text[1:-1].split(","):
+            if parts and parts[-1].count("(") != parts[-1].count(")"):
+                parts[-1] += "," + piece
+            else:
+                parts.append(piece)
+        if len(parts) != len(self.factors):
+            return None
+        values = [f.element_by_name(p) for f, p in zip(self.factors, parts)]
+        if None in values:
+            return None
+        return self.encode(values)
+
+
+def _joined_name(parts):
+    return "(" + ",".join(parts) + ")"
 
 
 class _TabledProduct(TableGroup, ProductGroup):
@@ -305,13 +346,13 @@ class _TabledProduct(TableGroup, ProductGroup):
 
     def __init__(self, factors, label=None):
         ProductGroup.__init__(self, factors, label)
-        # named explicitly: the MRO resolves _rows to TableGroup's, which
-        # returns the table being built here
-        self.table = ProductGroup._rows(self)
+        # named explicitly: the MRO resolves row to TableGroup's, which
+        # reads the table being built here
+        self.table = tuple(ProductGroup.row(self, h)
+                           for h in range(self.order))
         self.inverses = tuple(row.index(self.identity) for row in self.table)
-        self.names = tuple(
-            "(" + ",".join(parts) + ")" for parts in itertools.product(
-                *([f.name(v) for v in range(f.order)] for f in self.factors)))
+        self.names = tuple(map(_joined_name, itertools.product(
+            *([f.name(v) for v in range(f.order)] for f in self.factors))))
 
 
 @dataclass(frozen=True)

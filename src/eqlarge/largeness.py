@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import BudgetExceeded, EmptySubset
 from .group import Subset
@@ -82,11 +83,19 @@ class LargenessReport:
     elapsed: float
 
 
+def _membership(X):
+    """X as a '0'/'1' string whose character i is element i's bit."""
+    return format(X.bits, f"0{X.parent.order}b")[::-1]
+
+
+def _gathered_mask(G, membership, g):
+    """The mask of g*Y from Y's membership string: bit z is set exactly
+    when g^-1 * z lies in Y, so the bits are gathered along row g^-1."""
+    return int("".join(itemgetter(*G.row(G.inv(g)))(membership))[::-1], 2)
+
+
 def left_translate(G, X, g):
-    bits = 0
-    for y in X.indices():
-        bits |= 1 << G.mul(g, y)
-    return Subset(X.parent, bits)
+    return Subset(X.parent, _gathered_mask(G, _membership(X), g))
 
 
 class _CoverSearch:
@@ -101,6 +110,7 @@ class _CoverSearch:
     def __init__(self, G, Y, budget):
         self.G = G
         self.ylist = list(Y.indices())
+        self.membership = _membership(Y)
         self.full = (1 << G.order) - 1
         self.budget = budget
         self.nodes = 0
@@ -113,10 +123,7 @@ class _CoverSearch:
     def translate_mask(self, g):
         m = self.mask_cache.get(g)
         if m is None:
-            mul = self.G.mul
-            m = 0
-            for y in self.ylist:
-                m |= 1 << mul(g, y)
+            m = _gathered_mask(self.G, self.membership, g)
             self.mask_cache[g] = m
         return m
 
@@ -126,12 +133,12 @@ class _CoverSearch:
         out = self.through_cache.get(e)
         if out is None:
             inv = self.G.inv
-            mul = self.G.mul
+            erow = self.G.row(e)
             tmask = self.translate_mask
             seen = set()
             out = []
             for y in self.ylist:
-                g = mul(e, inv(y))
+                g = erow[inv(y)]
                 m = tmask(g)
                 if m not in seen:
                     seen.add(m)

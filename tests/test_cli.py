@@ -48,6 +48,21 @@ def test_solve_lists_solutions():
     assert [ln.strip() for ln in lines[-2:]] == ["0", "2"]
 
 
+def test_solve_names_componentwise_product_elements():
+    # S4xS4xC2 has 1152 elements, above the product table bound
+    p = run_cli("solve", "S4xS4xC2", "x1^2=#e", "--max-solutions", "3")
+    assert p.returncode == 0
+    assert [ln.strip() for ln in p.stdout.splitlines()[-4:]] == [
+        "(e,e,0)", "(e,e,1)", "(e,(3 4),0)", "... (197 more)"]
+    p = run_cli("solve", "S4xS4xC2", "x1=g", "--const", "g=((1 2),(1 3 2),1)")
+    assert p.returncode == 0
+    assert "solutions: 1 of 1152" in p.stdout.splitlines()
+    assert p.stdout.splitlines()[-1].strip() == "((1 2),(1 3 2),1)"
+    p = run_cli("solve", "S4xS4xC2", "x1=g", "--const", "g=((1 2),e)")
+    assert p.returncode == 2
+    assert "no element named" in p.stderr
+
+
 def test_largeness_report():
     p = run_cli("largeness", "S3", "x1^3=#e")
     assert p.returncode == 0
@@ -129,7 +144,7 @@ def test_usage_errors_exit_2():
     p = run_cli("prob", "Z9", "x1=#e")
     assert "did you mean C9?" in p.stderr
     assert run_cli("prob", "S3", "x1*=").returncode == 2
-    assert run_cli("verify", "all", "--groups", "S3", "--jobs", "0")\
+    assert run_cli("verify", "all", "--groups", "S3", "--jobs", "1")\
         .returncode == 2
     assert run_cli("frobnicate").returncode == 2
 

@@ -181,6 +181,47 @@ def test_products_above_the_bound_stay_componentwise():
             assert P.decode(P.mul(a, b)) == (A.mul(sa, sb), G.mul(ha, hb))
 
 
+def test_rows_are_left_multiplication():
+    C2, C3, S3 = catalog("C2"), catalog("C3"), catalog("S3")
+    E8 = catalog("E2^3")
+    aut_e8 = direct_product(automorphism_group(E8)[0], E8)
+    groups = [
+        S3,
+        power(catalog("D4"), 2),
+        ProductGroup((C2, C3)),
+        ProductGroup((power(C3, 2), S3)),
+        aut_e8,
+        direct_product(aut_e8, C2),
+    ]
+    for G in groups:
+        step = 1 if G.order <= TABLE_MATERIALIZE_BOUND else 97
+        for h in range(0, G.order, step):
+            row = G.row(h)
+            assert len(row) == G.order
+            assert all(row[z] == G.mul(h, z) for z in range(G.order))
+
+
+def test_product_names_resolve():
+    S4, C2 = catalog("S4"), catalog("C2")
+    big = direct_product(S4, S4, C2)
+    assert big.order > TABLE_MATERIALIZE_BOUND and big.names is None
+    assert big.name(0) == "(e,e,0)"
+    assert big.name(big.encode((1, 23, 1))) == (
+        f"({S4.name(1)},{S4.name(23)},1)")
+    nested = ProductGroup((direct_product(catalog("S3"), C2),
+                           catalog("E2^3")))
+    assert nested.name(nested.encode((3, 5))) == "(((2 3),1),5)"
+    for G in (big, nested, direct_product(catalog("E2^3"), C2),
+              power(C2, 0)):
+        for a in range(0, G.order, 7):
+            assert G.element_by_name(G.name(a)) == a
+            if G.names is not None:
+                assert G.names[a] == G.name(a)
+    for text in ("(e,e)", "(e,e,2)", "(e,e,0,0)", "e", "(e,(1 2,0)"):
+        assert big.element_by_name(text) is None
+    assert power(C2, 0).element_by_name("()") == 0
+
+
 def test_projections_are_homomorphisms():
     P = direct_product(catalog("S3"), catalog("C2"))
     pr = projections(P)

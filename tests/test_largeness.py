@@ -7,7 +7,9 @@ from eqlarge.catalog import catalog, catalog_upto
 from eqlarge.errors import BudgetExceeded, EmptySubset
 from eqlarge.group import (
     Subset,
+    automorphism_group,
     center,
+    direct_product,
     image_subset,
     power,
     preimage_subset,
@@ -20,6 +22,7 @@ from eqlarge.largeness import (
     UNBOUNDED,
     CoverCertificate,
     SearchBudget,
+    _CoverSearch,
     at_least,
     cover_number,
     genericity_number,
@@ -299,3 +302,31 @@ def test_engine_against_definitions(case, k):
         assert is_k_generic(G, Y, n - 1) == (False, None)
     if G.order ** (k - 1) <= 10 ** 6:
         assert is_k_large(G, Y, k)[0] == naive_is_k_large(G, Y, k)
+
+
+E8 = catalog("E2^3")
+# 1344 elements, above the product table bound
+AUT_E8 = direct_product(automorphism_group(E8)[0], E8)
+
+
+def check_gathered_masks(G, indices):
+    Y = Subset.from_indices(G, indices)
+    search = _CoverSearch(G, Y, SearchBudget())
+    for g in range(G.order):
+        expected = 0
+        for y in Y.indices():
+            expected |= 1 << G.mul(g, y)
+        assert search.translate_mask(g) == expected
+        assert left_translate(G, Y, g).bits == expected
+
+
+@given(st.sampled_from(catalog_upto(24) + [power(D4, 2)]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_gathered_masks_match_the_mul_loop(G, data):
+    check_gathered_masks(G, data.draw(st.lists(st.integers(0, G.order - 1))))
+
+
+@given(st.lists(st.integers(0, AUT_E8.order - 1), max_size=64))
+@settings(max_examples=4, deadline=None)
+def test_gathered_masks_match_the_mul_loop_above_the_bound(indices):
+    check_gathered_masks(AUT_E8, indices)

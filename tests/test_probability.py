@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from eqlarge.catalog import catalog
 from eqlarge.errors import ArityMismatch, IndexBound
 from eqlarge.group import (
+    ProductGroup,
     Subset,
     automorphism_group,
     center,
@@ -59,14 +60,16 @@ def test_commuting_probability_is_class_count_over_order():
 
 
 def test_solution_set_membership_is_faithful():
-    eq = parse_equation("[x1,x2] = #e")
-    ss = solution_set(S3, eq)
-    members = set(ss.indices())
-    for idx in range(S3.order ** 2):
-        x = idx % S3.order
-        y = idx // S3.order % S3.order
-        expected = evaluate(S3, eq.lhs, (x, y)) == S3.identity
-        assert ((idx in members) == expected)
+    P = ProductGroup((S3, S3))
+    # x1 = x2^2 is not symmetric in x1 and x2, so a decode that swaps the
+    # variables fails on it
+    for text in ("[x1,x2] = #e", "x1 = x2^2"):
+        eq = parse_equation(text)
+        members = set(solution_set(S3, eq).indices())
+        for idx in range(P.order):
+            xy = P.decode(idx)
+            expected = evaluate(S3, eq.lhs, xy) == evaluate(S3, eq.rhs, xy)
+            assert (idx in members) == expected
 
 
 def test_values_partition_the_assignment_space():
