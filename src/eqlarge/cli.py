@@ -466,7 +466,16 @@ def _main(argv):
 
 
 def main():
-    sys.exit(_main(sys.argv[1:]))
+    try:
+        code = _main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (eqlarge solve ... | head -1): that is a
+        # success, and stdout now points at devnull so the flush at exit
+        # cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

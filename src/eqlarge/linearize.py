@@ -31,10 +31,11 @@ from .words import (
     Const,
     Inv,
     Var,
-    evaluate,
-    evaluate_product,
+    column_ops,
+    compile_words,
     expand_engel,
     is_supercommutator,
+    run_program,
     to_text,
     word_constants,
     word_variables,
@@ -284,6 +285,33 @@ def linearize_product(factors, xbar, ybar, n=None, budget=DEFAULT_BUDGET):
     return phi, prefix
 
 
+def _draw(G, rng, samples, names, top, constants):
+    """Every sample at once, in the order a sample-by-sample check draws
+    them: per sample, one value per constant name (drawn even when the
+    name is bound, as setdefault would), then x1..x{top+1}.  Returns the
+    constants, each unbound name as a column, and the variable columns."""
+    consts = dict(constants or {})
+    drawn = {name: [] for name in names if name not in consts}
+    columns = [[] for _ in range(top + 1)]
+    for _ in range(samples):
+        for name in names:
+            value = rng.randrange(G.order)
+            if name in drawn:
+                drawn[name].append(value)
+        for column in columns:
+            column.append(rng.randrange(G.order))
+    consts.update(drawn)
+    return consts, columns
+
+
+def _shifted(G, columns, xbar, ybar):
+    """The columns with each designated x replaced by y*x."""
+    out = list(columns)
+    for xi, yi in zip(xbar, ybar):
+        out[xi] = list(map(G.mul, columns[yi], columns[xi]))
+    return out
+
+
 def linearization_identity_holds(G, v, xbar, ybar, phi, samples=100, seed=0,
                                  constants=None):
     """Spot-check the splitting identity by evaluation."""
@@ -291,24 +319,19 @@ def linearization_identity_holds(G, v, xbar, ybar, phi, samples=100, seed=0,
     rng = random.Random(seed)
     top = max([i for i in (*xbar, *ybar, *word_variables(v))], default=-1)
     names = [c for c in sorted(word_constants(v)) if not c.startswith("#")]
-    for _ in range(samples):
-        consts = dict(constants or {})
-        for name in names:
-            consts.setdefault(name, rng.randrange(G.order))
-        base = [rng.randrange(G.order) for _ in range(top + 1)]
-        shifted = list(base)
-        for xi, yi in zip(xbar, ybar):
-            shifted[xi] = G.mul(base[yi], base[xi])
-        ysubbed = list(base)
-        for xi, yi in zip(xbar, ybar):
-            ysubbed[xi] = base[yi]
-        lhs = evaluate(G, v, tuple(shifted), consts)
-        rhs = G.mul(evaluate(G, v, tuple(base), consts),
-                    evaluate(G, v, tuple(ysubbed), consts))
-        rhs = G.mul(rhs, evaluate_product(G, phi, tuple(base), consts))
-        if lhs != rhs:
-            return False
-    return True
+    consts, base = _draw(G, rng, samples, names, top, constants)
+    ysubbed = list(base)
+    for xi, yi in zip(xbar, ybar):
+        ysubbed[xi] = base[yi]
+    ops = column_ops(G)
+    program = compile_words([v])
+    (lhs,), (at_x,), (at_y,) = (
+        run_program(program, ops, columns, samples, consts)
+        for columns in (_shifted(G, base, xbar, ybar), base, ysubbed))
+    (rest,) = run_program(compile_words(phi, product=True), ops, base,
+                          samples, consts)
+    rhs = ops.mul(ops.mul(at_x, at_y), rest)
+    return lhs == rhs
 
 
 def product_identity_holds(G, factors, xbar, ybar, phi, prefix, samples=50,
@@ -322,20 +345,14 @@ def product_identity_holds(G, factors, xbar, ybar, phi, prefix, samples=50,
     names = set()
     for w in factors:
         names |= {c for c in word_constants(w) if not c.startswith("#")}
-    for _ in range(samples):
-        consts = dict(constants or {})
-        for name in sorted(names):
-            consts.setdefault(name, rng.randrange(G.order))
-        base = [rng.randrange(G.order) for _ in range(top + 1)]
-        shifted = list(base)
-        for xi, yi in zip(xbar, ybar):
-            shifted[xi] = G.mul(base[yi], base[xi])
-        lhs = evaluate_product(G, factors, tuple(shifted), consts)
-        rhs = G.mul(evaluate_product(G, prefix, tuple(base), consts),
-                    evaluate_product(G, phi, tuple(base), consts))
-        if lhs != rhs:
-            return False
-    return True
+    consts, base = _draw(G, rng, samples, sorted(names), top, constants)
+    ops = column_ops(G)
+    (lhs,) = run_program(compile_words(factors, product=True), ops,
+                         _shifted(G, base, xbar, ybar), samples, consts)
+    (head,), (rest,) = (
+        run_program(compile_words(words, product=True), ops, base, samples,
+                    consts) for words in (prefix, phi))
+    return lhs == ops.mul(head, rest)
 
 
 def enumerate_sweep_shapes():

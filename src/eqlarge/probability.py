@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import eq
 
 from .errors import ActionNotClosed, ArityMismatch, IndexBound
 from .group import (
     Group,
-    ProductGroup,
     Subset,
     class_count,
     direct_product,
@@ -22,9 +22,11 @@ from .group import (
     power,
 )
 from .words import (
-    Equation,
-    evaluate,
+    column_ops,
+    compile_words,
     parse_equation,
+    parse_word,
+    run_program,
     word_arity,
     word_variables,
 )
@@ -94,27 +96,41 @@ def _check_limits(G, arity, limits):
             f"{G.order}**{arity} assignments exceed {limits.index_cap}")
 
 
+def _blocks(G, program, arity, constants):
+    """Run a program over every assignment of G to x1..x{arity}, one block
+    of assignments per value of x1 (the whole power at arity <= 1), so a
+    block holds at most index_cap / order rows.  Yields each block's first
+    index and its root columns."""
+    n = G.order
+    lead = 1 if arity > 1 else 0
+    free = arity - lead
+    size = n ** free
+    # the other variables count through their values, rightmost fastest
+    tail = [[v for v in range(n) for _ in range(n ** (free - 1 - j))]
+            * n ** j for j in range(free)]
+    ops = column_ops(G)
+    for x1 in range(n ** lead):
+        head = [[x1] * size] if lead else []
+        yield x1 * size, run_program(program, ops, head + tail, size,
+                                     constants)
+
+
 def solution_set(G, equation, constants=None, limits=DEFAULT_LIMITS):
     """All assignments satisfying the equation, as bits over the power."""
     if isinstance(equation, str):
         equation = parse_equation(equation)
     arity = equation.arity
     _check_limits(G, arity, limits)
-    rhs_const = not word_variables(equation.rhs)
-    rhs_val = None
-    if rhs_const:
-        rhs_val = evaluate(G, equation.rhs, (0,) * arity, constants)
-    bits = 0
-    count = 0
-    # a ProductGroup built directly gives the codec without a table
-    for idx, tup in enumerate(ProductGroup((G,) * arity).tuples()):
-        lv = evaluate(G, equation.lhs, tup, constants)
-        rv = rhs_val if rhs_const else evaluate(G, equation.rhs, tup,
-                                                constants)
-        if lv == rv:
-            bits |= 1 << idx
-            count += 1
-    return SolutionSet(G, arity, bits, count)
+    # a constant right side was evaluated first, so its errors come first
+    sides = [equation.lhs, equation.rhs]
+    if not word_variables(equation.rhs):
+        sides.reverse()
+    bits = {}
+    counts = {}
+    for offset, (a, b) in _blocks(G, compile_words(sides), arity, constants):
+        _bucket(list(map(eq, a, b)), 2, offset, bits, counts)
+    # the matching rows are the bucket of True, which is 1
+    return SolutionSet(G, arity, bits.get(1, 0), counts.get(1, 0))
 
 
 def solution_sets_by_value(G, word, constants=None, limits=DEFAULT_LIMITS):
@@ -123,20 +139,40 @@ def solution_sets_by_value(G, word, constants=None, limits=DEFAULT_LIMITS):
     Returns a dict from the value index to a SolutionSet of the equation
     word = value.  Much cheaper than one solution_set call per value.
     """
-    from .words import parse_word
-
     if isinstance(word, str):
         word = parse_word(word)
     arity = word_arity(word)
     _check_limits(G, arity, limits)
     bits = {}
     counts = {}
-    for idx, tup in enumerate(ProductGroup((G,) * arity).tuples()):
-        v = evaluate(G, word, tup, constants)
-        bits[v] = bits.get(v, 0) | (1 << idx)
-        counts[v] = counts.get(v, 0) + 1
+    for offset, (values,) in _blocks(G, compile_words([word]), arity,
+                                     constants):
+        _bucket(values, G.order, offset, bits, counts)
     return {v: SolutionSet(G, arity, bits[v], counts[v])
             for v in sorted(bits)}
+
+
+def _bucket(values, order, offset, bits, counts):
+    """Add each value's positions in the column, shifted by offset, to its
+    bitmask in bits, and its count to counts."""
+    if order <= 256:
+        data = bytes(values)
+        backwards = data[::-1]
+        zeros = b"0" * 256
+        for v in set(data):
+            ones = backwards.translate(zeros[:v] + b"1" + zeros[v + 1:])
+            bits[v] = bits.get(v, 0) | int(ones, 2) << offset
+            counts[v] = counts.get(v, 0) + data.count(v)
+        return
+    where = {}
+    for i, v in enumerate(values):
+        where.setdefault(v, []).append(len(values) - 1 - i)
+    for v, places in where.items():
+        digits = bytearray(b"0") * len(values)
+        for p in places:
+            digits[p] = 49      # ord("1")
+        bits[v] = bits.get(v, 0) | int(digits, 2) << offset
+        counts[v] = counts.get(v, 0) + len(places)
 
 
 def probability(G, equation, constants=None, limits=DEFAULT_LIMITS):

@@ -55,7 +55,7 @@ from .probability import (
     solution_set,
     solution_sets_by_value,
 )
-from .words import evaluate, parse_word
+from .words import column_ops, compile_words, parse_word, run_program
 
 __all__ = [
     "CheckResult",
@@ -425,13 +425,26 @@ def check_central_identity(G):
                 if not _power_large(G, sols, 2):
                     continue
                 hyp_any = True
-                dropped = {"g": G.identity}
-                for tup in itertools.product(Z, repeat=nvars):
-                    if evaluate(G, word, tup, dropped) != G.identity:
-                        return _result("central_identity", G, True, False,
-                                       None, {"word": text, "g": g,
-                                              "value": c, "tuple": list(tup)})
+                broken = _first_nontrivial(G, word, Z, nvars,
+                                           {"g": G.identity})
+                if broken:
+                    return _result("central_identity", G, True, False,
+                                   None, {"word": text, "g": g,
+                                          "value": c, "tuple": broken})
     return _result("central_identity", G, hyp_any, True)
+
+
+def _first_nontrivial(G, word, elements, nvars, constants):
+    """The first tuple over elements, in product order, where the word is
+    not the identity, as a list; [] when there is none."""
+    tuples = list(itertools.product(elements, repeat=nvars))
+    columns = [list(column) for column in zip(*tuples)]
+    (values,) = run_program(compile_words([word]), column_ops(G), columns,
+                            len(tuples), constants)
+    for tup, value in zip(tuples, values):
+        if value != G.identity:
+            return list(tup)
+    return []
 
 
 def check_center_gcd(G):

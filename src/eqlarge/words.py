@@ -9,12 +9,21 @@ Conventions: ``u^v`` is conjugation ``v^-1 u v`` when v is a word and a
 power when v is an integer literal, ``[u,v]`` is ``u^-1 v^-1 u v``,
 ``[u,v;n]`` iterates ``[...[u,v],v...],v]`` n times, and ``[u,v,w]`` is
 sugar for ``[[u,v],w]``.  ``^`` binds tighter than ``*``.
+
+Evaluation does not recurse.  compile_words turns a list of words into a
+straight-line program, one slot per structurally distinct node, and
+run_program runs it over whole columns of assignments, one list per
+variable: a table-backed group gathers each product through its table
+rows, a componentwise product maps its own mul.  evaluate and
+evaluate_product run the same program on a single row.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
+from operator import getitem
 
 from .errors import (
     ArityMismatch,
@@ -33,10 +42,13 @@ __all__ = [
     "Comm",
     "Engel",
     "Equation",
-    "VarProfile",
     "parse_word",
     "parse_equation",
     "to_text",
+    "Program",
+    "compile_words",
+    "column_ops",
+    "run_program",
     "evaluate",
     "evaluate_product",
     "word_variables",
@@ -45,76 +57,50 @@ __all__ = [
     "expand_engel",
     "flatten_product",
     "is_supercommutator",
-    "var_profile",
     "move_constants_right",
     "IDENTITY_WORD",
 ]
 
 
-def _cached_hash(cls):
-    # frozen dataclasses recompute their hash from the whole subtree on
-    # every call, which dominates memoised evaluation of large factor
-    # lists; cache it on first use instead
-    plain = cls.__hash__
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = plain(self)
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    cls.__hash__ = __hash__
-    return cls
-
-
-@_cached_hash
 @dataclass(frozen=True)
 class Var:
     index: int
 
 
-@_cached_hash
 @dataclass(frozen=True)
 class Const:
     name: str
 
 
-@_cached_hash
 @dataclass(frozen=True)
 class Inv:
     body: object
 
 
-@_cached_hash
 @dataclass(frozen=True)
 class Prod:
     left: object
     right: object
 
 
-@_cached_hash
 @dataclass(frozen=True)
 class Pow:
     base: object
     exp: int
 
 
-@_cached_hash
 @dataclass(frozen=True)
 class Conj:
     base: object
     by: object
 
 
-@_cached_hash
 @dataclass(frozen=True)
 class Comm:
     left: object
     right: object
 
 
-@_cached_hash
 @dataclass(frozen=True)
 class Engel:
     left: object
@@ -165,9 +151,11 @@ def _tokenize(text):
 
 
 # Deepest word the parser accepts, as the height of the tree once Engel
-# nodes are expanded and as the nesting of brackets.  Parsing recurses four
-# frames per bracket level and evaluating about three per tree level, so an
-# accepted word stays well inside Python's default recursion limit of 1000.
+# nodes are expanded and as the nesting of brackets.  Evaluation keeps its
+# own stack, but parsing recurses four frames per bracket level, and
+# to_text, word_variables, expand_engel and flatten_product recurse a frame
+# or two per tree level, so an accepted word stays well inside Python's
+# default recursion limit of 1000.
 MAX_WORD_HEIGHT = 128
 
 
@@ -415,56 +403,257 @@ def resolve_constant(G, name, constants=None):
     raise UnboundConstant(f"constant {name!r} has no binding")
 
 
-def evaluate(G, w, assignment, constants=None, _memo=None):
-    """Value of a word under an assignment (tuple indexed by Var index).
+# Steps of a compiled program.  Step i writes slot i; the operands of the
+# steps from _INV on are earlier slots.
+_LOAD_VAR, _LOAD_CONST, _IDENTITY, _INV, _MUL, _COMM = range(6)
 
-    Structurally equal subtrees are evaluated once per call via a memo
-    keyed on the (frozen, hashable) nodes themselves.  Keying on id()
-    would break here: expand_engel builds short-lived trees, and a freed
-    node's address can be reused by a later, different node.
+
+class Program:
+    """Root words compiled into a straight-line program: parallel arrays
+    of step codes and operand slots, the slots to drop after each step
+    (bit 1 the left operand, bit 2 the right), the variable indices and
+    constant names that the loads number, and the root slots."""
+
+    __slots__ = ("ops", "left", "right", "drops", "variables", "names",
+                 "roots")
+
+
+def compile_words(roots, product=False):
+    """Compile words into one straight-line program, without recursion.
+
+    Each structurally distinct node gets one slot, Engel nodes being
+    expanded first.  Powers unroll into products by repeated squaring and
+    u^v becomes u*[u,v].  Steps follow a left-to-right walk of the words,
+    so a missing variable or constant fails at the load a tree walk would
+    reach first.  With product=True the roots are folded into a running
+    product as each is finished, and that product is the one root.
     """
-    if _memo is None:
-        _memo = {}
-    key = w
-    got = _memo.get(key)
-    if got is not None:
-        return got
-    if isinstance(w, Var):
-        if w.index >= len(assignment):
-            raise ArityMismatch(
-                f"word uses x{w.index + 1} but assignment has "
-                f"{len(assignment)} entries")
-        val = assignment[w.index]
-    elif isinstance(w, Const):
-        val = resolve_constant(G, w.name, constants)
-    elif isinstance(w, Inv):
-        val = G.inv(evaluate(G, w.body, assignment, constants, _memo))
-    elif isinstance(w, Prod):
-        val = G.mul(evaluate(G, w.left, assignment, constants, _memo),
-                    evaluate(G, w.right, assignment, constants, _memo))
-    elif isinstance(w, Pow):
-        val = G.pow(evaluate(G, w.base, assignment, constants, _memo), w.exp)
-    elif isinstance(w, Conj):
-        val = G.conj(evaluate(G, w.base, assignment, constants, _memo),
-                     evaluate(G, w.by, assignment, constants, _memo))
-    elif isinstance(w, Comm):
-        val = G.comm(evaluate(G, w.left, assignment, constants, _memo),
-                     evaluate(G, w.right, assignment, constants, _memo))
-    elif isinstance(w, Engel):
-        val = evaluate(G, expand_engel(w), assignment, constants, _memo)
-    else:
-        raise TypeError(f"not a word node: {w!r}")
-    _memo[key] = val
-    return val
+    ops, left, right = bytearray(), array("i"), array("i")
+    variables, names = {}, {}
+    done = {}       # id(node) -> slot, for nodes that roots keeps alive
+    # (left << 32 | right) << 3 | op -> slot, so structurally equal nodes
+    # share a slot; an int key takes half the memory of a tuple
+    slot_of = {}
+
+    def emit(op, a=0, b=0, shared=True):
+        slot = len(ops)
+        if shared:
+            key = (a << 32 | b) << 3 | op
+            if key in slot_of:
+                return slot_of[key]
+            slot_of[key] = slot
+        ops.append(op)
+        left.append(a)
+        right.append(b)
+        return slot
+
+    def power(a, k):
+        if k == 0:
+            return emit(_IDENTITY)
+        if k < 0:
+            a, k = emit(_INV, a), -k
+        acc = None
+        while True:
+            if k & 1:
+                acc = a if acc is None else emit(_MUL, acc, a)
+            k >>= 1
+            if not k:
+                return acc
+            a = emit(_MUL, a, a)
+
+    roots = list(roots)
+    expansions = []     # Engel expansions, alive while their ids are keys
+    out, acc = [], None
+    for root in roots:
+        # (node, None) is still to expand; (node, children) is ready once
+        # the children pushed above it are done
+        stack = [(root, None)]
+        while stack:
+            w, kids = stack.pop()
+            if id(w) in done:
+                continue
+            t = type(w)
+            if kids is None:
+                if t is Comm or t is Prod:
+                    kids = (w.left, w.right)
+                elif t is Inv:
+                    kids = (w.body,)
+                elif t is Pow:
+                    kids = (w.base,)
+                elif t is Conj:
+                    kids = (w.base, w.by)
+                elif t is Engel:
+                    kids = (expand_engel(w),)
+                    expansions.append(kids)
+                elif t is Var or t is Const:
+                    kids = ()
+                else:
+                    raise TypeError(f"not a word node: {w!r}")
+                if kids:
+                    stack.append((w, kids))
+                    stack.extend((k, None) for k in reversed(kids))
+                    continue
+            s = [done[id(k)] for k in kids]
+            if t is Comm:
+                slot = emit(_COMM, *s)
+            elif t is Prod:
+                slot = emit(_MUL, *s)
+            elif t is Inv:
+                slot = emit(_INV, *s)
+            elif t is Var:
+                slot = emit(_LOAD_VAR, variables.setdefault(
+                    w.index, len(variables)))
+            elif t is Const:
+                slot = emit(_LOAD_CONST, names.setdefault(w.name, len(names)))
+            elif t is Pow:
+                slot = power(s[0], w.exp)
+            elif t is Conj:
+                slot = emit(_MUL, s[0], emit(_COMM, *s))
+            else:
+                slot = s[0]         # Engel: its expansion's slot
+            done[id(w)] = slot
+        slot = done[id(root)]
+        if not product:
+            out.append(slot)
+        else:       # a fold step is no node, so it skips the table
+            acc = slot if acc is None else emit(_MUL, acc, slot, False)
+    if product:
+        out = [emit(_IDENTITY) if acc is None else acc]
+    # walking back, the first read of a slot met is its last use; the
+    # caller reads the roots
+    used = bytearray(len(ops))
+    for slot in out:
+        used[slot] = 1
+    drops = bytearray(len(ops))
+    for i in range(len(ops) - 1, -1, -1):
+        if ops[i] >= _INV and not used[left[i]]:
+            used[left[i]] = 1
+            drops[i] = 1
+        if ops[i] >= _MUL and not used[right[i]]:
+            used[right[i]] = 1
+            drops[i] |= 2
+    prog = Program()
+    prog.ops, prog.left, prog.right, prog.drops = ops, left, right, drops
+    prog.variables, prog.names = tuple(variables), tuple(names)
+    prog.roots = tuple(out)
+    return prog
+
+
+class _TableColumns:
+    """Column arithmetic of a table-backed group: every step is a C-level
+    gather through the table rows.  Once the commutators asked for reach
+    the table's size, a commutator table is built; it lives as long as
+    this object, which is one call."""
+
+    def __init__(self, G):
+        self.group = G
+        self._rows = G.table.__getitem__
+        self._inverse = G.inverses.__getitem__
+        self._comm_rows = None
+        self._asked = 0
+
+    def mul(self, A, B):
+        return list(map(getitem, map(self._rows, A), B))
+
+    def inv(self, A):
+        return list(map(self._inverse, A))
+
+    def comm(self, A, B):
+        if self._comm_rows is None:
+            self._asked += len(A)
+            rows, inverse = self._rows, self._inverse
+            if self._asked < self.group.order ** 2:
+                ba = map(getitem, map(rows, B), A)
+                ab = map(getitem, map(rows, A), B)
+                return list(map(getitem, map(rows, map(inverse, ba)), ab))
+            # [a,b] = (b*a)^-1 * (a*b); column a of the table is b*a
+            self._comm_rows = tuple(
+                tuple(map(getitem, map(rows, map(inverse, ba)), rows(a)))
+                for a, ba in enumerate(zip(*self.group.table))).__getitem__
+        return list(map(getitem, map(self._comm_rows, A), B))
+
+
+class _MappedColumns:
+    """Column arithmetic through the group's own mul, inv and comm, for a
+    componentwise product (no table; row(a) would build a whole row)."""
+
+    def __init__(self, G):
+        self.group = G
+
+    def mul(self, A, B):
+        return list(map(self.group.mul, A, B))
+
+    def inv(self, A):
+        return list(map(self.group.inv, A))
+
+    def comm(self, A, B):
+        return list(map(self.group.comm, A, B))
+
+
+def column_ops(G):
+    """Arithmetic on value columns (lists of elements) of G.  One call
+    makes one and shares it among its runs, so a commutator table is
+    built at most once."""
+    return _TableColumns(G) if hasattr(G, "table") else _MappedColumns(G)
+
+
+def run_program(program, ops, columns, length, constants=None):
+    """The root value columns of a program over length rows.
+
+    columns[i] is the column of x(i+1); constants maps a name to a value
+    or to a column of values.  Unbound names resolve as literals.  Each
+    column is dropped after its last use.
+    """
+    G = ops.group
+    mul, inv, comm = ops.mul, ops.inv, ops.comm
+    left, right, drops, names = (program.left, program.right, program.drops,
+                                 program.names)
+    vals = [None] * len(program.ops)
+    for i, op in enumerate(program.ops):
+        a = left[i]
+        if op == _MUL:
+            vals[i] = mul(vals[a], vals[right[i]])
+        elif op == _COMM:
+            vals[i] = comm(vals[a], vals[right[i]])
+        elif op == _INV:
+            vals[i] = inv(vals[a])
+        elif op == _LOAD_VAR:
+            x = program.variables[a]
+            if x >= len(columns):
+                raise ArityMismatch(
+                    f"word uses x{x + 1} but assignment has "
+                    f"{len(columns)} entries")
+            vals[i] = columns[x]
+        elif op == _LOAD_CONST:
+            name = names[a]
+            value = (constants[name] if constants and name in constants
+                     else resolve_constant(G, name))
+            vals[i] = value if isinstance(value, list) else [value] * length
+        else:
+            vals[i] = [G.identity] * length
+        drop = drops[i]
+        if drop & 1:
+            vals[a] = None
+        if drop & 2:
+            vals[right[i]] = None
+    return [vals[r] for r in program.roots]
+
+
+def _at(G, program, assignment, constants):
+    (column,) = run_program(program, column_ops(G),
+                            [[a] for a in assignment], 1, constants)
+    return column[0]
+
+
+def evaluate(G, w, assignment, constants=None):
+    """Value of a word under an assignment (tuple indexed by Var index):
+    its compiled program run on one row."""
+    return _at(G, compile_words([w]), assignment, constants)
 
 
 def evaluate_product(G, factors, assignment, constants=None):
-    """Product of a factor list under one shared memo."""
-    memo = {}
-    acc = G.identity
-    for f in factors:
-        acc = G.mul(acc, evaluate(G, f, assignment, constants, memo))
-    return acc
+    """Product of a factor list, as one compiled program run on one row."""
+    return _at(G, compile_words(factors, product=True), assignment, constants)
 
 
 def expand_engel(w):
@@ -521,31 +710,6 @@ def is_supercommutator(w):
     return False
 
 
-@dataclass(frozen=True)
-class VarProfile:
-    all_vars: frozenset
-    vars_in_xbar: frozenset
-    vars_outside_xbar: frozenset
-
-    @property
-    def var_count(self):
-        return len(self.all_vars)
-
-    @property
-    def var_xbar(self):
-        return len(self.vars_in_xbar)
-
-    @property
-    def var_xbar_prime(self):
-        return len(self.vars_outside_xbar)
-
-
-def var_profile(w, xbar):
-    vs = frozenset(word_variables(w))
-    xset = frozenset(xbar)
-    return VarProfile(vs, vs & xset, vs - xset)
-
-
 def move_constants_right(eq, verify_in=(), samples=16, seed=0):
     """Rewrite lhs = rhs so every lhs factor contains a variable.
 
@@ -591,17 +755,20 @@ def move_constants_right(eq, verify_in=(), samples=16, seed=0):
         import random
         rng = random.Random(seed)
         arity = max(eq.arity, moved.arity)
+        sides = compile_words([eq.lhs, eq.rhs, moved.lhs, moved.rhs])
         for G in verify_in:
             consts = {name: rng.randrange(G.order)
                       for name in (eq.constants | moved.constants)
                       if not name.startswith("#")}
+            columns = [[] for _ in range(arity)]
             for _ in range(samples):
-                asg = tuple(rng.randrange(G.order) for _ in range(arity))
-                before = evaluate(G, eq.lhs, asg, consts) == \
-                    evaluate(G, eq.rhs, asg, consts)
-                after = evaluate(G, moved.lhs, asg, consts) == \
-                    evaluate(G, moved.rhs, asg, consts)
-                if before != after:
+                for column in columns:
+                    column.append(rng.randrange(G.order))
+            values = run_program(sides, column_ops(G), columns, samples,
+                                 consts)
+            for i, (a, b, c, d) in enumerate(zip(*values)):
+                if (a == b) != (c == d):
+                    asg = tuple(column[i] for column in columns)
                     raise NotAProductOfSupercommutators(
                         f"rewrite changed solutions in {G.label} at {asg}")
     return moved

@@ -1,0 +1,94 @@
+"""The recursive word interpreter the package used before its compiled
+evaluator, kept as a slow, independent oracle for the tests."""
+
+from eqlarge.errors import ArityMismatch
+from eqlarge.group import ProductGroup
+from eqlarge.words import (
+    Comm,
+    Conj,
+    Const,
+    Engel,
+    Inv,
+    Pow,
+    Prod,
+    Var,
+    expand_engel,
+    resolve_constant,
+    word_arity,
+)
+
+
+def evaluate(G, w, assignment, constants=None, _memo=None):
+    """Value of a word under an assignment (tuple indexed by Var index).
+
+    Structurally equal subtrees are evaluated once per call via a memo
+    keyed on the (frozen, hashable) nodes themselves.  Keying on id()
+    would break here: expand_engel builds short-lived trees, and a freed
+    node's address can be reused by a later, different node.
+    """
+    if _memo is None:
+        _memo = {}
+    key = w
+    got = _memo.get(key)
+    if got is not None:
+        return got
+    if isinstance(w, Var):
+        if w.index >= len(assignment):
+            raise ArityMismatch(
+                f"word uses x{w.index + 1} but assignment has "
+                f"{len(assignment)} entries")
+        val = assignment[w.index]
+    elif isinstance(w, Const):
+        val = resolve_constant(G, w.name, constants)
+    elif isinstance(w, Inv):
+        val = G.inv(evaluate(G, w.body, assignment, constants, _memo))
+    elif isinstance(w, Prod):
+        val = G.mul(evaluate(G, w.left, assignment, constants, _memo),
+                    evaluate(G, w.right, assignment, constants, _memo))
+    elif isinstance(w, Pow):
+        val = G.pow(evaluate(G, w.base, assignment, constants, _memo), w.exp)
+    elif isinstance(w, Conj):
+        val = G.conj(evaluate(G, w.base, assignment, constants, _memo),
+                     evaluate(G, w.by, assignment, constants, _memo))
+    elif isinstance(w, Comm):
+        val = G.comm(evaluate(G, w.left, assignment, constants, _memo),
+                     evaluate(G, w.right, assignment, constants, _memo))
+    elif isinstance(w, Engel):
+        val = evaluate(G, expand_engel(w), assignment, constants, _memo)
+    else:
+        raise TypeError(f"not a word node: {w!r}")
+    _memo[key] = val
+    return val
+
+
+def evaluate_product(G, factors, assignment, constants=None):
+    """Product of a factor list under one shared memo."""
+    memo = {}
+    acc = G.identity
+    for f in factors:
+        acc = G.mul(acc, evaluate(G, f, assignment, constants, memo))
+    return acc
+
+
+def solution_bits(G, equation, constants=None):
+    """(bits, count) of an equation's solutions, one assignment at a time
+    through the power's tuple codec."""
+    arity = equation.arity
+    bits = count = 0
+    for idx, tup in enumerate(ProductGroup((G,) * arity).tuples()):
+        if evaluate(G, equation.lhs, tup, constants) == \
+                evaluate(G, equation.rhs, tup, constants):
+            bits |= 1 << idx
+            count += 1
+    return bits, count
+
+
+def buckets_by_value(G, word, constants=None):
+    """{value: (bits, count)} over every assignment, one at a time."""
+    out = {}
+    for idx, tup in enumerate(
+            ProductGroup((G,) * word_arity(word)).tuples()):
+        v = evaluate(G, word, tup, constants)
+        bits, count = out.get(v, (0, 0))
+        out[v] = bits | 1 << idx, count + 1
+    return dict(sorted(out.items()))

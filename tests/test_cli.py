@@ -204,3 +204,25 @@ def test_over_deep_words_exit_2():
     for word in (f"[x1,x2;{cap}]", "*".join(["x1"] * (cap + 1)),
                  "(" * (cap + 1) + "x1" + ")" * (cap + 1)):
         assert run_cli("prob", "S3", word + "=#e").returncode == 2
+
+
+def test_closed_stdout_exits_0():
+    # stdout is a pipe nobody reads, so every write or flush raises
+    # BrokenPipeError; a large output breaks inside the command, a small
+    # one at the final flush
+    script = """
+import os, sys
+read_end, write_end = os.pipe()
+os.close(read_end)
+sys.stdout = open(write_end, "w")
+from eqlarge import cli
+sys.argv = ["eqlarge", *sys.argv[1:]]
+cli.main()
+"""
+    for args in (("solve", "S4xS4xC2", "x1=x1", "--max-solutions", "2000"),
+                 ("prob", "S3", "[x1,x2]=#e")):
+        p = subprocess.run([sys.executable, "-c", script, *args],
+                           capture_output=True, text=True)
+        assert p.returncode == 0, (args, p.stderr)
+        assert "Traceback" not in p.stderr
+        assert "BrokenPipeError" not in p.stderr

@@ -27,7 +27,6 @@ from eqlarge.words import (
     parse_equation,
     parse_word,
     to_text,
-    var_profile,
     word_arity,
     word_constants,
     word_variables,
@@ -172,16 +171,6 @@ def test_supercommutator_recognition():
     w = parse_word("[x1,x2;2]")
     assert not is_supercommutator(w)
     assert is_supercommutator(expand_engel(w))
-
-
-def test_var_profile_partition():
-    w = parse_word("[x1,[x2,x3]]")
-    p = var_profile(w, {0})
-    assert p.all_vars == {0, 1, 2}
-    assert p.vars_in_xbar == {0}
-    assert p.vars_outside_xbar == {1, 2}
-    assert len(p.vars_in_xbar) == 1
-    assert len(p.vars_outside_xbar) == 2
 
 
 def test_word_bookkeeping():
