@@ -168,8 +168,14 @@ def heisenberg(p):
 
 
 def _from_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UnknownSpec(
+            f"cannot read a group from {path!r}: {exc}") from None
+    if not isinstance(data, dict) or "table" not in data:
+        raise UnknownSpec(f'{path!r} holds no JSON object with a "table"')
     table = data["table"]
     names = data.get("names")
     label = data.get("label", "@" + path)
@@ -188,7 +194,11 @@ def _parse_cycles(text, degree):
         raise NotAPermutation(f"cannot read cycles from {text!r}")
     used = set()
     for cyc in cycles:
-        points = [int(t) for t in cyc.split()]
+        try:
+            points = [int(t) for t in cyc.split()]
+        except ValueError:
+            raise NotAPermutation(
+                f"cycle points must be integers in {text!r}") from None
         if not points:
             continue
         for pt in points:

@@ -253,6 +253,8 @@ def _load_subset(args, G):
         raise ParseError('--subset "elements" must be integer element '
                          'indices')
     if "group" in obj:
+        if not isinstance(obj["group"], str):
+            raise ParseError('--subset "group" must be a group spec string')
         G = catalog(obj["group"])
     try:
         return G, Subset.from_indices(G, elements)

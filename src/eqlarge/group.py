@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (
     NotAGroup,
@@ -83,6 +84,8 @@ class Group:
 
     def __init__(self):
         self._powers = {}
+        # cover decisions by subset bits, kept by largeness.is_k_generic
+        self._decisions = {}
 
     def mul(self, a, b):
         raise NotImplementedError
@@ -346,13 +349,32 @@ class _TabledProduct(TableGroup, ProductGroup):
 
     def __init__(self, factors, label=None):
         ProductGroup.__init__(self, factors, label)
-        # named explicitly: the MRO resolves row to TableGroup's, which
-        # reads the table being built here
-        self.table = tuple(ProductGroup.row(self, h)
-                           for h in range(self.order))
+        self.table = _folded_table(self.factors, self.order)
         self.inverses = tuple(row.index(self.identity) for row in self.table)
         self.names = tuple(map(_joined_name, itertools.product(
             *([f.name(v) for v in range(f.order)] for f in self.factors))))
+
+
+def _folded_table(factors, order):
+    """Every row of the product table, folded one factor table at a time.
+
+    With F of order n, row (p, v) holds t * n + F.row(v)[x] for each entry
+    t of row p and each x: F.row(v) gathered from the t-th block of n
+    indices.  The entries come from one tuple of indices, so each element
+    is one shared int object; arithmetic would make a new int per entry
+    past 256, several times the size of the table itself.
+    """
+    shared = tuple(range(order))
+    table = ((0,),)
+    for f in factors:
+        n = f.order
+        blocks = [shared[t * n:(t + 1) * n] for t in range(len(table))]
+        picks = [itemgetter(*f.row(v)) if n > 1 else tuple
+                 for v in range(n)]
+        table = tuple(tuple(itertools.chain.from_iterable(
+                          map(pick, map(blocks.__getitem__, row))))
+                      for row in table for pick in picks)
+    return table
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,16 @@ The two notions are complementary: X is k-large exactly when the complement
 of X is not k-generic.  Everything here works on int bitmasks, one bit per
 element, and the cover search is an exact branch and bound that always
 branches on the lowest uncovered element, which keeps results deterministic.
+
+Two translates gY and hY cover G exactly when Y and g^-1*h*Y do, that is
+when Z and g^-1*h*Z are disjoint for the complement Z, which fails exactly
+when g^-1*h lies in the difference set Z*Z^-1.  So k = 2 is decided from
+Z*Z^-1 alone, and the branch and bound serves k >= 3 and least covers.
+
+Decisions are remembered per group, in G._decisions, keyed by the subset's
+bits: the largest k known to admit no cover and the smallest cover found.
+A cover by j translates answers every k >= j, and no cover by k answers
+every k' <= k.  The memo holds ints and tuples only and dies with the group.
 """
 
 from __future__ import annotations
@@ -231,16 +241,57 @@ def cover_number(G, Y, budget=DEFAULT_BUDGET):
     return len(sel), sel
 
 
+def _two_cover(G, Y):
+    """(e, s) for the least s with Y and s*Y covering G, or None.
+
+    That s is the least element outside Z*Z^-1 for Z = G minus Y.  The
+    difference set is the union of the gathered masks of z*Z^-1 over z in
+    Z, built until it fills the group.
+    """
+    full = (1 << G.order) - 1
+    Z = Subset(G, Y.bits ^ full)
+    zmem = _membership(Z)
+    # character i of zinv is the bit of i^-1 in Z: the membership of Z^-1
+    zinv = "".join(itemgetter(*map(G.inv, range(G.order)))(zmem))
+    diff = 0
+    for z in Z.elements():
+        diff |= _gathered_mask(G, zinv, z)
+        if diff == full:
+            return None
+    outside = full ^ diff
+    return G.identity, (outside & -outside).bit_length() - 1
+
+
 def is_k_generic(G, X, k, budget=DEFAULT_BUDGET):
+    """Whether some k left translates of X cover G, with a cover by at
+    most k translators as the certificate.
+
+    k = 2 is answered from the difference set of the complement, with the
+    certificate (e, s) for the least such s; k >= 3 by the branch and
+    bound, which keeps the first cover met within k.  An answer already
+    known for X on G, at this k or by monotonicity from another k, is
+    served from G._decisions, so its cover may be one found for a
+    smaller k.
+    """
     if k < 1:
         raise ValueError("k must be positive")
     if X.size == 0:
         return False, None
     if X.size == G.order:
         return True, CoverCertificate((G.identity,), True)
-    sel = _CoverSearch(G, X, budget).search(k)
-    if sel is None:
+    refuted, cover = G._decisions.get(X.bits, (0, None))
+    if cover is not None and len(cover) <= k:
+        return True, CoverCertificate(cover, True)
+    if k <= refuted or k * X.size < G.order:
         return False, None
+    if k == 2:
+        sel = _two_cover(G, X)
+    else:
+        sel = _CoverSearch(G, X, budget).search(k)
+    if sel is None:
+        G._decisions[X.bits] = (k, cover)
+        return False, None
+    G._decisions[X.bits] = (refuted, sel)
     return True, CoverCertificate(sel, True)
 
 

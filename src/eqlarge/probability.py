@@ -141,12 +141,17 @@ def solution_sets_by_value(G, word, constants=None, limits=DEFAULT_LIMITS):
     """
     if isinstance(word, str):
         word = parse_word(word)
-    arity = word_arity(word)
+    return _sets_by_value(G, compile_words([word]), word_arity(word),
+                          constants, limits)
+
+
+def _sets_by_value(G, program, arity, constants=None, limits=DEFAULT_LIMITS):
+    """solution_sets_by_value for a word compiled once by compile_words,
+    for callers that bucket one word under many constants."""
     _check_limits(G, arity, limits)
     bits = {}
     counts = {}
-    for offset, (values,) in _blocks(G, compile_words([word]), arity,
-                                     constants):
+    for offset, (values,) in _blocks(G, program, arity, constants):
         _bucket(values, G.order, offset, bits, counts)
     return {v: SolutionSet(G, arity, bits[v], counts[v])
             for v in sorted(bits)}

@@ -20,6 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import OrderBound, UnknownCheck, UnknownQuestion
 from .group import (
@@ -50,12 +51,19 @@ from .largeness import (
     restrict_largeness,
 )
 from .probability import (
+    _sets_by_value,
     autocommutativity_degree,
     commuting_probability,
     solution_set,
     solution_sets_by_value,
 )
-from .words import column_ops, compile_words, parse_word, run_program
+from .words import (
+    column_ops,
+    compile_words,
+    parse_word,
+    run_program,
+    word_arity,
+)
 
 __all__ = [
     "CheckResult",
@@ -145,6 +153,13 @@ def _power_large(G, sols, k):
     P = power(G, sols.arity)
     ok, _ = is_k_large(P, Subset(P, sols.bits), k)
     return ok
+
+
+def _compiled(text):
+    """A word's program and arity, compiled once for _sets_by_value to
+    bucket under each choice of constants."""
+    word = parse_word(text)
+    return compile_words([word]), word_arity(word)
 
 
 def _min_margin(margins):
@@ -353,13 +368,10 @@ _WORD_FAMILY = [
 ]
 
 
-def _family_instances(G, word_text, nconsts):
-    word = parse_word(word_text)
+def _family_constants(G, nconsts):
     if nconsts == 0:
-        yield word, None
-        return
-    for g in range(G.order):
-        yield word, {"g": g}
+        return [None]
+    return [{"g": g} for g in range(G.order)]
 
 
 def _bounded_word_check(check_id, G, k_value, exponent_of):
@@ -370,9 +382,10 @@ def _bounded_word_check(check_id, G, k_value, exponent_of):
     margins = []
     for text, nvars, nconsts in _WORD_FAMILY:
         bound = 1 - Fraction(1, 2 * k_value ** exponent_of(nvars, nconsts))
-        for word, consts in _family_instances(G, text, nconsts):
+        compiled = _compiled(text)
+        for consts in _family_constants(G, nconsts):
             total = G.order ** nvars
-            for c, sols in solution_sets_by_value(G, word, consts).items():
+            for c, sols in _sets_by_value(G, *compiled, consts).items():
                 if sols.count == total:
                     continue
                 hyp_any = True
@@ -419,13 +432,14 @@ def check_central_identity(G):
     family = [("[x1,g]", 1), ("x1^2*g", 1), ("x1*g*x2", 2)]
     hyp_any = False
     for text, nvars in family:
-        word = parse_word(text)
+        program, arity = _compiled(text)
         for g in gvals:
-            for c, sols in solution_sets_by_value(G, word, {"g": g}).items():
+            for c, sols in _sets_by_value(G, program, arity,
+                                          {"g": g}).items():
                 if not _power_large(G, sols, 2):
                     continue
                 hyp_any = True
-                broken = _first_nontrivial(G, word, Z, nvars,
+                broken = _first_nontrivial(G, program, Z, nvars,
                                            {"g": G.identity})
                 if broken:
                     return _result("central_identity", G, True, False,
@@ -434,13 +448,13 @@ def check_central_identity(G):
     return _result("central_identity", G, hyp_any, True)
 
 
-def _first_nontrivial(G, word, elements, nvars, constants):
-    """The first tuple over elements, in product order, where the word is
-    not the identity, as a list; [] when there is none."""
+def _first_nontrivial(G, program, elements, nvars, constants):
+    """The first tuple over elements, in product order, where the compiled
+    word is not the identity, as a list; [] when there is none."""
     tuples = list(itertools.product(elements, repeat=nvars))
     columns = [list(column) for column in zip(*tuples)]
-    (values,) = run_program(compile_words([word]), column_ops(G), columns,
-                            len(tuples), constants)
+    (values,) = run_program(program, column_ops(G), columns, len(tuples),
+                            constants)
     for tup, value in zip(tuples, values):
         if value != G.identity:
             return list(tup)
@@ -581,9 +595,9 @@ def check_comm_product(G):
             for g2 in g2vals:
                 yield "[x1,g]*[x2,h]", {"g": g1, "h": g2}, [g1, g2]
 
+    compiled = cache(_compiled)
     for text, consts, gs in instances():
-        word = parse_word(text)
-        for c, sols in solution_sets_by_value(G, word, consts).items():
+        for c, sols in _sets_by_value(G, *compiled(text), consts).items():
             if all(zen.contains(g) for g in gs) and c == G.identity:
                 continue
             hyp_any = True
@@ -623,12 +637,11 @@ def check_word_comm_abelian(G):
     hyp_any = False
     margins = []
     for part_text, full_text, consts in family:
-        part = parse_word(part_text)
-        full = parse_word(full_text)
         part_vals = {c: s.count
-                     for c, s in solution_sets_by_value(G, part,
-                                                        consts).items()}
-        for c, sols in solution_sets_by_value(G, full, consts).items():
+                     for c, s in _sets_by_value(G, *_compiled(part_text),
+                                                consts).items()}
+        for c, sols in _sets_by_value(G, *_compiled(full_text),
+                                      consts).items():
             part_identity = part_vals.get(c, 0) == G.order
             if is_abelian(G) and part_identity:
                 continue
@@ -642,6 +655,11 @@ def check_word_comm_abelian(G):
                    _min_margin(margins))
 
 
+def _centralizer_indices(G):
+    """The index of each element's centralizer, by element."""
+    return [G.order // centralizer(G, [g]).size for g in range(G.order)]
+
+
 def check_conj_comm(G):
     """If [g, h^x] = e holds k-largely with k the smaller centralizer
     index, the whole classes of g and h commute elementwise."""
@@ -650,11 +668,11 @@ def check_conj_comm(G):
     for cl in classes:
         for g in cl:
             cls_of[g] = cl
+    index = _centralizer_indices(G)
     hyp_any = False
     for g in range(G.order):
         for h in range(G.order):
-            k = min(G.order // centralizer(G, [g]).size,
-                    G.order // centralizer(G, [h]).size)
+            k = min(index[g], index[h])
             bits = 0
             for x in range(G.order):
                 if G.comm(g, G.conj(h, x)) == G.identity:
@@ -677,10 +695,10 @@ def check_triple_comm(G):
     with the variable in the middle needs c central."""
     hyp_any = False
     zen = center(G)
+    index = _centralizer_indices(G)
     for g in range(G.order):
         for h in range(G.order):
-            k = G.order // centralizer(G, [h]).size
-            need = 2 * k
+            need = 2 * index[h]
             buckets_a = {}
             buckets_b = {}
             for x in range(G.order):
@@ -764,10 +782,10 @@ def check_supercomm_const(G):
         for h in range(G.order):
             instances.append(("[[x1,g],h]", {"g": g, "h": h}, 2))
     hyp_any = False
+    compiled = cache(_compiled)
     for text, consts, nparams in instances:
-        word = parse_word(text)
         need = max(2 ** (cls - nparams), 1)
-        for c, sols in solution_sets_by_value(G, word, consts).items():
+        for c, sols in _sets_by_value(G, *compiled(text), consts).items():
             if not _power_large(G, sols, need):
                 continue
             hyp_any = True
@@ -792,8 +810,8 @@ def check_nilpotent_identity(G):
               ("[x1,g]", {"g": gval})]
     hyp_any = False
     for text, consts in family:
-        word = parse_word(text)
-        for c, sols in solution_sets_by_value(G, word, consts).items():
+        for c, sols in _sets_by_value(G, *_compiled(text),
+                                      consts).items():
             if not _power_large(G, sols, need):
                 continue
             hyp_any = True

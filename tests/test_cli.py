@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+
+from hypothesis import given, settings, strategies as st
 
 from eqlarge.words import MAX_WORD_HEIGHT
 
@@ -226,3 +230,100 @@ cli.main()
         assert p.returncode == 0, (args, p.stderr)
         assert "Traceback" not in p.stderr
         assert "BrokenPipeError" not in p.stderr
+
+
+GROUP_SPECS = ["C1", "C2", "C4", "S3", "D4", "Q8", "H2", "E2^2", "C2xC3",
+               "perm:3:(1 2);(1 2 3)", "catalog<=4", "Z9", "C0", "D2", "S9",
+               "E4^2", "E2^0", "H7", "s3", "", "x", "C2x", "catalog<=x",
+               "perm:3:(1 a)", "perm:x:(1 2)", "perm:3:(1 2", "perm:2:(1 3)",
+               "perm:3:(1 1)", "perm:", "@", "@.", "@no-such-file.json"]
+WORD_PIECES = ["x1", "x2", "x5", "x0", "#e", "#1", "#99", "#-1", "g", "c",
+               "^2", "^-1", "^", "*", "[", "]", ",", ";2", ";0", "(", ")",
+               "=", " ", "[x1,x2]", "[x1,g]", "x1^3"]
+VALUES = ["0", "1", "3", "-1", "abc", "", "99999999999999999999", "1.5"]
+SUBSETS = ['{"elements": [0, 1]}', '{"elements": [0, 99]}',
+           '{"elements": []}', '{"elements": [true]}', '{"elements": 5}',
+           '{"group": 5}', '{"group": "S3", "elements": [0, 3]}',
+           '{"group": [], "elements": []}', "[1, 2]", "nonsense",
+           "solutions:x1^2=#e", "solutions:x1*=", "solutions:x1=g"]
+
+words = st.lists(st.sampled_from(WORD_PIECES), min_size=1, max_size=6).map(
+    "".join)
+values = st.sampled_from(VALUES)
+
+
+@st.composite
+def cli_argv(draw):
+    group = st.sampled_from(GROUP_SPECS)
+    command = draw(st.sampled_from(
+        ["info", "solve", "prob", "largeness", "cover", "verify", "search",
+         "ac", "catalog", "frobnicate", "--help"]))
+    argv = [command]
+    if command in ("info", "solve", "prob", "largeness", "cover", "ac"):
+        argv.append(draw(group))
+    if command in ("solve", "prob", "largeness"):
+        argv.append(draw(words))
+    if command == "cover":
+        argv += ["--subset", draw(st.sampled_from(SUBSETS))]
+    if command in ("verify", "search"):
+        argv.append(draw(st.sampled_from(
+            ["all", "erdos_turan,frobenius", "nope", "oq_gamma_k",
+             "oq_cube_5large", "oq_comm_2large_c", ""])))
+        argv += ["--groups", draw(group)]
+    if command == "catalog":
+        argv.append(draw(group))
+    options = {
+        "--const": st.tuples(st.sampled_from(["g", "c", "", "g=", "=1"]),
+                             st.sampled_from(["", "=1", "=#e", "=e", "=r",
+                                              "=99", "=#-1", "=(1 2)"])
+                             ).map("".join),
+        "--budget-nodes": values,
+        "--max-solutions": values,
+        "--seed": values,
+        "--format": st.sampled_from(["text", "json", "csv", "xml"]),
+        "--sigma": st.sampled_from(["trivial", "inner", "full", "outer"]),
+        "--checks": st.sampled_from(["frobenius", "nope", ""]),
+    }
+    for flag in draw(st.lists(st.sampled_from(sorted(options)), max_size=3)):
+        argv += [flag, draw(options[flag])]
+    return argv
+
+
+def run_in_process(argv):
+    """cli._main(argv) with small caps, output discarded: the exit code.
+
+    Products and powers past 4096 elements and searches past 2000 nodes
+    are declined with 3, which keeps every fuzzed command quick.
+    """
+    from eqlarge import cli, group
+
+    saved = group.INDEX_BOUND, os.environ.get("EQLARGE_BUDGET_NODES")
+    group.INDEX_BOUND = 4096
+    os.environ["EQLARGE_BUDGET_NODES"] = "2000"
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                return cli._main(argv)
+            except SystemExit as exc:
+                return exc.code
+    finally:
+        group.INDEX_BOUND = saved[0]
+        if saved[1] is None:
+            os.environ.pop("EQLARGE_BUDGET_NODES")
+        else:
+            os.environ["EQLARGE_BUDGET_NODES"] = saved[1]
+
+
+@given(cli_argv())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_cli_exit_codes_are_total(argv):
+    assert run_in_process(argv) in (0, 1, 2, 3), argv
+
+
+def test_unreadable_specs_exit_2():
+    for argv in (["solve", "perm:3:(1 a)", "x1=x1"],
+                 ["info", "@no-such-file.json"],
+                 ["info", "@."],
+                 ["cover", "C1", "--subset", '{"group": [], "elements": []}']):
+        assert run_in_process(argv) == 2, argv

@@ -107,6 +107,15 @@ def test_products_and_powers():
     assert power(G, 2) is power(G, 2)
 
 
+def test_product_tables_hold_one_int_per_element():
+    # orders past 256, where ints are not the interpreter's cached ones
+    for P in (direct_product(catalog("D7"), catalog("C20")),
+              catalog("C2xC1xS3xC3xC3"), power(catalog("Q8"), 3)):
+        assert P.table == tuple(ProductGroup.row(P, h)
+                                for h in range(P.order)), P.label
+        assert len({id(v) for row in P.table for v in row}) == P.order
+
+
 def test_mixed_radix_is_leftmost_major():
     G = catalog("C3")
     P = power(G, 2)

@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eqlarge import largeness
 from eqlarge.catalog import catalog, catalog_upto
 from eqlarge.errors import BudgetExceeded, EmptySubset
 from eqlarge.group import (
@@ -23,6 +25,7 @@ from eqlarge.largeness import (
     CoverCertificate,
     SearchBudget,
     _CoverSearch,
+    _two_cover,
     at_least,
     cover_number,
     genericity_number,
@@ -277,11 +280,12 @@ def test_least_cover_keeps_the_first_of_equal_size():
 
 
 MID_GROUPS = [G for G in catalog_upto(24) if 9 <= G.order]
+LOW_GROUPS = [G for G in catalog_upto(8) if 2 <= G.order]
 
 
 @st.composite
-def mid_subsets(draw):
-    G = draw(st.sampled_from(MID_GROUPS))
+def mid_subsets(draw, groups=MID_GROUPS):
+    G = draw(st.sampled_from(groups))
     full = (1 << G.order) - 1
     bits = draw(st.integers(1, full - 1))
     if draw(st.booleans()):
@@ -302,6 +306,116 @@ def test_engine_against_definitions(case, k):
         assert is_k_generic(G, Y, n - 1) == (False, None)
     if G.order ** (k - 1) <= 10 ** 6:
         assert is_k_large(G, Y, k)[0] == naive_is_k_large(G, Y, k)
+
+
+def covers_by_mul(G, Y, translators):
+    union = 0
+    for g in translators:
+        for y in Y.indices():
+            union |= 1 << G.mul(g, y)
+    return union == (1 << G.order) - 1
+
+
+@given(st.one_of(mid_subsets(LOW_GROUPS), mid_subsets()))
+@settings(max_examples=150, deadline=None)
+def test_two_cover_against_the_search_and_the_definition(case):
+    G, Y = case
+    two = _two_cover(G, Y)
+    dfs = _CoverSearch(G, Y, SearchBudget()).search(2)
+    assert (two is None) == (dfs is None)
+    assert (two is None) == naive_is_k_large(G, Y.complement(), 2)
+    if two is not None:
+        assert two[0] == G.identity
+        assert covers_by_mul(G, Y, two)
+        assert covers_by_mul(G, Y, dfs)
+    generic, cert = is_k_generic(G, Y, 2)
+    assert generic == (two is not None)
+    if generic:
+        assert len(cert.translators) <= 2
+        assert covers_by_mul(G, Y, cert.translators)
+
+
+def test_two_cover_names_the_least_translator():
+    # Y = {e, r}: r*Y = {r, r2} meets Y, and r2*Y = {r2, r3} is the
+    # first translate that completes the cover
+    assert _two_cover(C4, subset(C4, [0, 1])) == (0, 2)
+    assert is_k_generic(C4, subset(C4, [0, 1]), 2) == (
+        True, CoverCertificate((0, 2), True))
+    assert _two_cover(C4, subset(C4, [0, 1, 2])) == (0, 1)
+    assert _two_cover(C4, subset(C4, [0])) is None
+
+
+def test_small_k_never_reaches_the_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the branch and bound ran for k <= 2")
+
+    G = catalog("S4")
+    monkeypatch.setattr(largeness, "_CoverSearch", refuse)
+    for bits in (0xFFF, 0xFF00FF, 0x5A5A5A, 0x1, 0xFFFFFE):
+        X = Subset(G, bits)
+        for k in (1, 2):
+            expected = naive_is_k_large(G, X, k)
+            assert is_k_large(G, X, k)[0] == expected
+            assert is_k_generic(G, X.complement(), k)[0] != expected
+
+
+def decision_sequence(G, seed):
+    """Subsets of three densities with every k from 1 to 5, shuffled."""
+    rng = random.Random(seed)
+    full = (1 << G.order) - 1
+    sequence = []
+    for _ in range(12):
+        a, b = rng.getrandbits(G.order), rng.getrandbits(G.order)
+        for bits in (a & b, a, a | b):
+            bits &= full
+            if bits not in (0, full):
+                sequence.extend((bits, k) for k in range(1, 6))
+    rng.shuffle(sequence)
+    return sequence
+
+
+def test_memo_answers_match_a_fresh_group():
+    warm = catalog("S4")
+    assert warm._decisions == {}
+    for bits, k in decision_sequence(warm, 1) + decision_sequence(warm, 2):
+        is_k_generic(warm, Subset(warm, bits), k)
+    assert warm._decisions
+    fresh = catalog("S4")
+    assert fresh._decisions == {}
+    for bits, k in decision_sequence(warm, 2):
+        Yw, Yf = Subset(warm, bits), Subset(fresh, bits)
+        ok, cert = is_k_generic(warm, Yw, k)
+        assert ok == is_k_generic(fresh, Yf, k)[0]
+        assert ok == (_CoverSearch(fresh, Yf, SearchBudget()).search(k)
+                      is not None)
+        if ok:
+            assert len(cert.translators) <= k
+            assert covers_by_mul(warm, Yw, cert.translators)
+        large, lcert = is_k_large(warm, Yw.complement(), k)
+        assert large == (not ok)
+        if not large:
+            assert len(lcert.translators) == k
+            assert covers_by_mul(warm, Yw, lcert.translators)
+
+
+def test_memo_serves_a_smaller_cover_to_a_larger_k():
+    G = catalog("S4")
+    Y = Subset(G, 0xFFFF0F)
+    ok, cert = is_k_generic(G, Y, 2)
+    assert ok and len(cert.translators) == 2
+    assert G._decisions == {Y.bits: (0, cert.translators)}
+    assert is_k_generic(G, Y, 5) == (True, cert)
+    assert is_k_large(G, Y.complement(), 4) == (
+        False, CoverCertificate(cert.translators + (cert.translators[-1],) * 2,
+                                True))
+    # ten elements that need four translates
+    Z = Subset(G, 0x8A079C)
+    assert is_k_generic(G, Z, 3) == (False, None)
+    assert G._decisions[Z.bits] == (3, None)
+    assert is_k_generic(G, Z, 2) == (False, None)
+    ok, cert = is_k_generic(G, Z, 4)
+    assert ok and G._decisions[Z.bits] == (3, cert.translators)
+    assert catalog("S4")._decisions == {}
 
 
 E8 = catalog("E2^3")
