@@ -37,7 +37,6 @@ from .largeness import (
 from .linearize import LinearizeBudget, linearize, linearize_product
 from .probability import (
     AcReport,
-    EnumLimits,
     SolutionSet,
     autocommutativity_degree,
     commuting_probability,

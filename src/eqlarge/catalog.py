@@ -5,7 +5,8 @@ Specs: ``C n`` cyclic, ``D n`` dihedral of order 2n (n >= 3), ``S n`` and
 elementary abelian, ``H p`` the order p^3 group of unitriangular 3x3
 matrices over Z_p (p in 2, 3, 5), products joined with ``x``, ``@path`` for
 a JSON Cayley-table file, and ``perm:<degree>:<cycles>[;<cycles>...]`` for
-inline permutation generators with 1-based points.
+inline permutation generators with 1-based points.  Family orders and
+``perm:`` degrees past PERM_CLOSURE_CAP raise OrderBound, building nothing.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import json
 import math
 import re
 
-from .errors import NotAPermutation, UnknownSpec
+from .errors import NotAPermutation, OrderBound, UnknownSpec
 from .group import (
+    PERM_CLOSURE_CAP,
     TableGroup,
     _composition_group,
     cycle_name,
@@ -41,9 +43,24 @@ __all__ = [
 _PRIMES = {2, 3, 5, 7, 11, 13, 17, 19, 23}
 
 
+def _within_cap(label, size):
+    if size > PERM_CLOSURE_CAP:
+        raise OrderBound(f"{label} is larger than the size cap "
+                         f"{PERM_CLOSURE_CAP}")
+
+
+def _number(spec, digits):
+    """A spec's digits as an int; ten or more are past every size cap, and
+    int() would not even read thousands."""
+    if len(digits.lstrip("0")) > 9:
+        raise OrderBound(f"{spec[:24]}...: past the size cap")
+    return int(digits)
+
+
 def cyclic(n):
     if n < 1:
         raise UnknownSpec(f"C{n}: order must be positive")
+    _within_cap(f"C{n}", n)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     names = tuple(str(i) for i in range(n))
     return TableGroup(table, names=names, label=f"C{n}", validate=False)
@@ -55,6 +72,7 @@ def dihedral(n):
     if n < 3:
         raise UnknownSpec(f"D{n}: need n >= 3 (order 2n)")
     order = 2 * n
+    _within_cap(f"D{n}", order)
 
     def m(a, b):
         i, j = a % n, a // n
@@ -136,6 +154,8 @@ def elementary_abelian(p, k):
         raise UnknownSpec(f"E{p}^{k}: {p} is not a supported prime")
     if k < 1:
         raise UnknownSpec(f"E{p}^{k}: exponent must be positive")
+    # p**k >= 2**k, so a long exponent is refused before the power
+    _within_cap(f"E{p}^{k}", p ** min(k, PERM_CLOSURE_CAP.bit_length()))
     order = p ** k
 
     def m(a, b):
@@ -222,6 +242,7 @@ def _perm_spec(spec):
         degree = int(parts[1])
     except ValueError:
         raise UnknownSpec(f"{spec!r}: bad degree {parts[1]!r}") from None
+    _within_cap(f"perm:{degree}", degree)
     gens = [_parse_cycles(g, degree) for g in parts[2].split(";") if g.strip()]
     return from_permutation_generators(degree, gens, label=spec)
 
@@ -231,26 +252,16 @@ def _atom(spec):
         return _from_file(spec[1:])
     if spec.startswith("perm:"):
         return _perm_spec(spec)
-    m = re.fullmatch(r"C(\d+)", spec)
-    if m:
-        return cyclic(int(m.group(1)))
-    m = re.fullmatch(r"D(\d+)", spec)
-    if m:
-        return dihedral(int(m.group(1)))
-    m = re.fullmatch(r"S(\d+)", spec)
-    if m:
-        return symmetric(int(m.group(1)))
-    m = re.fullmatch(r"A(\d+)", spec)
-    if m:
-        return alternating(int(m.group(1)))
     if spec == "Q8":
         return quaternion()
+    m = re.fullmatch(r"([CDSAH])(\d+)", spec)
+    if m:
+        family = {"C": cyclic, "D": dihedral, "S": symmetric,
+                  "A": alternating, "H": heisenberg}[m.group(1)]
+        return family(_number(spec, m.group(2)))
     m = re.fullmatch(r"E(\d+)\^(\d+)", spec)
     if m:
-        return elementary_abelian(int(m.group(1)), int(m.group(2)))
-    m = re.fullmatch(r"H(\d+)", spec)
-    if m:
-        return heisenberg(int(m.group(1)))
+        return elementary_abelian(*(_number(spec, d) for d in m.groups()))
     m = re.fullmatch(r"Z(\d+)", spec)
     if m:
         raise UnknownSpec(
@@ -279,6 +290,7 @@ def catalog(spec):
 def catalog_upto(max_order):
     """The documented catalog sweep: every named family member of order
     at most max_order, in a fixed canonical order."""
+    _within_cap(f"catalog<={max_order}", max_order)
     out = []
     for n in range(1, max_order + 1):
         out.append(cyclic(n))
@@ -314,7 +326,7 @@ def parse_group_list(text):
             continue
         m = _CATALOG_RE.fullmatch(part)
         if m:
-            out.extend(catalog_upto(int(m.group(1))))
+            out.extend(catalog_upto(_number(part, m.group(1))))
         else:
             out.append(catalog(part))
     if not out:

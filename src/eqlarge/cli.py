@@ -285,10 +285,9 @@ def _cmd_cover(args):
 
 def _cmd_verify(args):
     groups = parse_group_list(args.groups)
-    selector = args.checks if args.checks else args.what
     check_ids = None
-    if selector and selector != "all":
-        check_ids = [c.strip() for c in selector.split(",") if c.strip()]
+    if args.checks:
+        check_ids = [c for c in map(str.strip, args.checks.split(",")) if c]
         for cid in check_ids:
             if cid not in verifier.CHECKS:
                 raise UnknownCheck(f"no check named {cid!r}")
@@ -422,8 +421,6 @@ def _build_parser():
     sp.set_defaults(fn=_cmd_cover)
 
     sp = sub.add_parser("verify", help="run the fact checks")
-    sp.add_argument("what", nargs="?", default="all",
-                    help='"all" or comma-separated check ids')
     sp.add_argument("--groups", default="catalog<=16")
     sp.add_argument("--checks", default=None,
                     help="comma-separated check ids (default: all)")

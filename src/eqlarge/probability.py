@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import eq
 
+from . import group
 from .errors import ActionNotClosed, ArityMismatch, IndexBound
 from .group import (
     Group,
@@ -32,7 +33,6 @@ from .words import (
 )
 
 __all__ = [
-    "EnumLimits",
     "SolutionSet",
     "solution_set",
     "solution_set_json",
@@ -46,13 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EnumLimits:
-    arity_cap: int = 4
-    index_cap: int = 1 << 26
-
-
-DEFAULT_LIMITS = EnumLimits()
+ARITY_CAP = 4
 
 
 @dataclass(frozen=True)
@@ -87,40 +81,39 @@ def solution_set_json(sols, index_threshold=1 << 16):
     return out
 
 
-def _check_limits(G, arity, limits):
-    if arity > limits.arity_cap:
-        raise ArityMismatch(
-            f"arity {arity} exceeds the enumeration cap {limits.arity_cap}")
-    if G.order ** max(arity, 1) > limits.index_cap:
-        raise IndexBound(
-            f"{G.order}**{arity} assignments exceed {limits.index_cap}")
-
-
-def _blocks(G, program, arity, constants):
-    """Run a program over every assignment of G to x1..x{arity}, one block
-    of assignments per value of x1 (the whole power at arity <= 1), so a
-    block holds at most index_cap / order rows.  Yields each block's first
-    index and its root columns."""
+def _blocks(G, program, arity, constants, ranged=()):
+    """Run a program over every assignment of G to the ranged constant
+    names and then x1..x{arity}, leftmost coordinate most significant, one
+    block per value of the first coordinate (the whole space when there is
+    at most one).  Yields each block's first row and its root columns.
+    The caps count the assignments of one tuple of ranged values."""
     n = G.order
-    lead = 1 if arity > 1 else 0
-    free = arity - lead
+    if arity > ARITY_CAP:
+        raise ArityMismatch(
+            f"arity {arity} exceeds the enumeration cap {ARITY_CAP}")
+    if n ** max(arity, 1) > group.INDEX_BOUND:
+        raise IndexBound(
+            f"{n}**{arity} assignments exceed {group.INDEX_BOUND}")
+    width = len(ranged) + arity
+    lead = 1 if width > 1 else 0
+    free = width - lead
     size = n ** free
-    # the other variables count through their values, rightmost fastest
+    # the other coordinates count through their values, rightmost fastest
     tail = [[v for v in range(n) for _ in range(n ** (free - 1 - j))]
             * n ** j for j in range(free)]
     ops = column_ops(G)
-    for x1 in range(n ** lead):
-        head = [[x1] * size] if lead else []
-        yield x1 * size, run_program(program, ops, head + tail, size,
-                                     constants)
+    for first in range(n ** lead):
+        columns = ([[first] * size] if lead else []) + tail
+        bound = {**(constants or {}), **dict(zip(ranged, columns))}
+        yield first * size, run_program(program, ops, columns[len(ranged):],
+                                        size, bound)
 
 
-def solution_set(G, equation, constants=None, limits=DEFAULT_LIMITS):
+def solution_set(G, equation, constants=None):
     """All assignments satisfying the equation, as bits over the power."""
     if isinstance(equation, str):
         equation = parse_equation(equation)
     arity = equation.arity
-    _check_limits(G, arity, limits)
     # a constant right side was evaluated first, so its errors come first
     sides = [equation.lhs, equation.rhs]
     if not word_variables(equation.rhs):
@@ -133,7 +126,7 @@ def solution_set(G, equation, constants=None, limits=DEFAULT_LIMITS):
     return SolutionSet(G, arity, bits.get(1, 0), counts.get(1, 0))
 
 
-def solution_sets_by_value(G, word, constants=None, limits=DEFAULT_LIMITS):
+def solution_sets_by_value(G, word, constants=None):
     """Bucket all assignments of word by its value, in one enumeration.
 
     Returns a dict from the value index to a SolutionSet of the equation
@@ -141,20 +134,26 @@ def solution_sets_by_value(G, word, constants=None, limits=DEFAULT_LIMITS):
     """
     if isinstance(word, str):
         word = parse_word(word)
-    return _sets_by_value(G, compile_words([word]), word_arity(word),
-                          constants, limits)
+    return next(_sets_by_value(G, compile_words([word]), word_arity(word),
+                               constants))
 
 
-def _sets_by_value(G, program, arity, constants=None, limits=DEFAULT_LIMITS):
-    """solution_sets_by_value for a word compiled once by compile_words,
-    for callers that bucket one word under many constants."""
-    _check_limits(G, arity, limits)
+def _sets_by_value(G, program, arity, constants=None, ranged=()):
+    """solution_sets_by_value of a word compiled by compile_words, once per
+    tuple of values of the ranged constant names, which run over G ahead
+    of the variables: one dict per tuple, in product order."""
+    span = G.order ** arity
     bits = {}
     counts = {}
-    for offset, (values,) in _blocks(G, program, arity, constants):
-        _bucket(values, G.order, offset, bits, counts)
-    return {v: SolutionSet(G, arity, bits[v], counts[v])
-            for v in sorted(bits)}
+    for start, (values,) in _blocks(G, program, arity, constants, ranged):
+        for at in range(0, len(values), span):
+            chunk = values[at:at + span]
+            _bucket(chunk, G.order, (start + at) % span, bits, counts)
+            if (start + at + len(chunk)) % span == 0:
+                yield {v: SolutionSet(G, arity, bits[v], counts[v])
+                       for v in sorted(bits)}
+                bits = {}
+                counts = {}
 
 
 def _bucket(values, order, offset, bits, counts):
@@ -180,9 +179,9 @@ def _bucket(values, order, offset, bits, counts):
         counts[v] = counts.get(v, 0) + len(places)
 
 
-def probability(G, equation, constants=None, limits=DEFAULT_LIMITS):
+def probability(G, equation, constants=None):
     """Fraction of assignments satisfying the equation."""
-    return solution_set(G, equation, constants, limits).fraction()
+    return solution_set(G, equation, constants).fraction()
 
 
 def commuting_probability(G):
@@ -191,12 +190,11 @@ def commuting_probability(G):
     return Fraction(class_count(G), G.order)
 
 
-def equation_largeness(G, equation, constants=None, limits=DEFAULT_LIMITS,
-                       budget=None):
+def equation_largeness(G, equation, constants=None, budget=None):
     """Largeness report for the solution set inside the direct power."""
     from .largeness import DEFAULT_BUDGET, largeness_report
 
-    sols = solution_set(G, equation, constants, limits)
+    sols = solution_set(G, equation, constants)
     return largeness_report(power(G, sols.arity), sols.as_subset(),
                             budget or DEFAULT_BUDGET)
 
@@ -223,7 +221,7 @@ class AcReport:
     subset_size: int
 
 
-def autocommutativity_degree(G, H, action_pair, limits=DEFAULT_LIMITS):
+def autocommutativity_degree(G, H, action_pair):
     """Fraction of pairs (sigma, h) with sigma in the acting group and h in
     the subset H that satisfy sigma(h) = h, together with the set of such
     pairs inside the product of the acting group with G.
@@ -242,8 +240,6 @@ def autocommutativity_degree(G, H, action_pair, limits=DEFAULT_LIMITS):
                 if row[G.mul(a, b)] != G.mul(row[a], row[b]):
                     raise ActionNotClosed(
                         "action row is not multiplicative")
-    if A.order * G.order > limits.index_cap:
-        raise IndexBound("pair space too large")
     P = direct_product(A, G, label=f"{A.label}x{G.label}")
     bits = 0
     count = 0

@@ -55,15 +55,8 @@ from .probability import (
     autocommutativity_degree,
     commuting_probability,
     solution_set,
-    solution_sets_by_value,
 )
-from .words import (
-    column_ops,
-    compile_words,
-    parse_word,
-    run_program,
-    word_arity,
-)
+from .words import compile_words, parse_word, word_arity
 
 __all__ = [
     "CheckResult",
@@ -123,8 +116,7 @@ def _rng(check_id, G):
 
 
 def _divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def _prime_factors(n):
@@ -155,11 +147,23 @@ def _power_large(G, sols, k):
     return ok
 
 
+@cache
 def _compiled(text):
-    """A word's program and arity, compiled once for _sets_by_value to
-    bucket under each choice of constants."""
+    """A word's program and arity, compiled once per text (the checks use
+    a fixed few texts, so the cache stays small)."""
     word = parse_word(text)
     return compile_words([word]), word_arity(word)
+
+
+def _slices(G, text, ranged, constants=None):
+    """A word's value buckets (dicts from value to SolutionSet), one for
+    each tuple of values of the ranged constant names, in product order."""
+    return _sets_by_value(G, *_compiled(text), constants, ranged)
+
+
+def _by_value(G, text, constants=None):
+    """A word's value buckets with all its constants bound."""
+    return next(_slices(G, text, (), constants))
 
 
 def _min_margin(margins):
@@ -360,18 +364,13 @@ def check_subgroup_lemma(G):
 
 # --- bounded conjugacy and the center ---------------------------------------
 
+# (word, number of variables, constants ranging over the group)
 _WORD_FAMILY = [
-    ("x1^2", 1, 0),
-    ("[x1,g]", 1, 1),
-    ("x1*g*x2", 2, 1),
-    ("[x1,x2]*x1^3", 2, 0),
+    ("x1^2", 1, ()),
+    ("[x1,g]", 1, ("g",)),
+    ("x1*g*x2", 2, ("g",)),
+    ("[x1,x2]*x1^3", 2, ()),
 ]
-
-
-def _family_constants(G, nconsts):
-    if nconsts == 0:
-        return [None]
-    return [{"g": g} for g in range(G.order)]
 
 
 def _bounded_word_check(check_id, G, k_value, exponent_of):
@@ -380,12 +379,12 @@ def _bounded_word_check(check_id, G, k_value, exponent_of):
     1 - 1/(2*k**e) with e = exponent_of(nvars, nconsts)."""
     hyp_any = False
     margins = []
-    for text, nvars, nconsts in _WORD_FAMILY:
-        bound = 1 - Fraction(1, 2 * k_value ** exponent_of(nvars, nconsts))
-        compiled = _compiled(text)
-        for consts in _family_constants(G, nconsts):
-            total = G.order ** nvars
-            for c, sols in _sets_by_value(G, *compiled, consts).items():
+    for text, nvars, ranged in _WORD_FAMILY:
+        bound = 1 - Fraction(1, 2 * k_value ** exponent_of(nvars,
+                                                           len(ranged)))
+        total = G.order ** nvars
+        for by_value in _slices(G, text, ranged):
+            for c, sols in by_value.items():
                 if sols.count == total:
                     continue
                 hyp_any = True
@@ -432,15 +431,14 @@ def check_central_identity(G):
     family = [("[x1,g]", 1), ("x1^2*g", 1), ("x1*g*x2", 2)]
     hyp_any = False
     for text, nvars in family:
-        program, arity = _compiled(text)
+        broken = None       # depends on the word only: g is set to e
         for g in gvals:
-            for c, sols in _sets_by_value(G, program, arity,
-                                          {"g": g}).items():
+            for c, sols in _by_value(G, text, {"g": g}).items():
                 if not _power_large(G, sols, 2):
                     continue
                 hyp_any = True
-                broken = _first_nontrivial(G, program, Z, nvars,
-                                           {"g": G.identity})
+                if broken is None:
+                    broken = _first_nontrivial(G, text, Z, nvars)
                 if broken:
                     return _result("central_identity", G, True, False,
                                    None, {"word": text, "g": g,
@@ -448,15 +446,14 @@ def check_central_identity(G):
     return _result("central_identity", G, hyp_any, True)
 
 
-def _first_nontrivial(G, program, elements, nvars, constants):
-    """The first tuple over elements, in product order, where the compiled
-    word is not the identity, as a list; [] when there is none."""
-    tuples = list(itertools.product(elements, repeat=nvars))
-    columns = [list(column) for column in zip(*tuples)]
-    (values,) = run_program(program, column_ops(G), columns, len(tuples),
-                            constants)
-    for tup, value in zip(tuples, values):
-        if value != G.identity:
+def _first_nontrivial(G, text, elements, nvars):
+    """The first tuple over elements, in product order, where the word with
+    g = e is not the identity, as a list; [] when there is none."""
+    # every tuple of identities gives the identity, so its bucket is there
+    ones = _by_value(G, text, {"g": G.identity})[G.identity].bits
+    for tup in itertools.product(elements, repeat=nvars):
+        index = sum(z * G.order ** (nvars - 1 - i) for i, z in enumerate(tup))
+        if not ones >> index & 1:
             return list(tup)
     return []
 
@@ -468,9 +465,8 @@ def check_center_gcd(G):
     hyp_any = False
     margins = []
     for a, b in [(2, 2), (2, 4), (3, 3), (4, 6)]:
-        word = parse_word(f"x1^{a}*x2^{b}")
         d = math.gcd(a, b)
-        for c, sols in solution_sets_by_value(G, word).items():
+        for c, sols in _by_value(G, f"x1^{a}*x2^{b}").items():
             if _power_large(G, sols, 2):
                 hyp_any = True
                 if d % zexp != 0:
@@ -500,7 +496,7 @@ def check_square_eq(G):
     4-large."""
     hyp_any = False
     margins = []
-    for c, sols in solution_sets_by_value(G, "x1^2").items():
+    for c, sols in _by_value(G, "x1^2").items():
         if _exp2_abelian(G) and c == G.identity:
             continue
         hyp_any = True
@@ -518,20 +514,20 @@ def check_xaxb(G):
     fill at most 3/4 of the group."""
     hyp_any = False
     margins = []
-    for a in range(G.order):
+    exp2_abelian = _exp2_abelian(G)
+    # both sides bucket x by b, the second as a^-1*(a*x)^2 = b
+    sides = zip(_slices(G, "x1*a*x1", ("a",)),
+                _slices(G, "a^-1*(a*x1)^2", ("a",)))
+    for a, (left, right) in enumerate(sides):
         for b in range(G.order):
-            s1 = {x for x in range(G.order)
-                  if G.mul(G.mul(x, a), x) == b}
-            ab = G.mul(a, b)
-            s2 = {x for x in range(G.order)
-                  if G.pow(G.mul(a, x), 2) == ab}
-            if s1 != s2:
+            sols = left.get(b)
+            if sols != right.get(b):
                 return _result("xaxb", G, True, False, None,
                                {"a": a, "b": b})
-            if _exp2_abelian(G) and a == b:
+            if exp2_abelian and a == b:
                 continue
             hyp_any = True
-            mu = Fraction(len(s1), G.order)
+            mu = Fraction(sols.count if sols else 0, G.order)
             margins.append(Fraction(3, 4) - mu)
             if mu > Fraction(3, 4):
                 return _result("xaxb", G, True, False, None,
@@ -588,16 +584,19 @@ def check_comm_product(G):
     margins = []
 
     def instances():
-        for g1 in range(G.order):
-            yield "[x1,g]", {"g": g1}, [g1]
-            yield "[g,x1]", {"g": g1}, [g1]
-        for g1 in range(G.order):
-            for g2 in g2vals:
-                yield "[x1,g]*[x2,h]", {"g": g1, "h": g2}, [g1, g2]
+        singles = zip(_slices(G, "[x1,g]", ("g",)),
+                      _slices(G, "[g,x1]", ("g",)))
+        for g1, (xg, gx) in enumerate(singles):
+            yield "[x1,g]", [g1], xg
+            yield "[g,x1]", [g1], gx
+        products = [_slices(G, "[x1,g]*[x2,h]", ("g",), {"h": g2})
+                    for g2 in g2vals]
+        for g1, row in enumerate(zip(*products)):
+            for g2, by_value in zip(g2vals, row):
+                yield "[x1,g]*[x2,h]", [g1, g2], by_value
 
-    compiled = cache(_compiled)
-    for text, consts, gs in instances():
-        for c, sols in _sets_by_value(G, *compiled(text), consts).items():
+    for text, gs, by_value in instances():
+        for c, sols in by_value.items():
             if all(zen.contains(g) for g in gs) and c == G.identity:
                 continue
             hyp_any = True
@@ -614,7 +613,7 @@ def check_comm_abelian(G):
     it misses a quarter of the pairs."""
     hyp_any = False
     margins = []
-    for c, sols in solution_sets_by_value(G, "[x1,x2]").items():
+    for c, sols in _by_value(G, "[x1,x2]").items():
         if is_abelian(G) and c == G.identity:
             continue
         hyp_any = True
@@ -638,10 +637,8 @@ def check_word_comm_abelian(G):
     margins = []
     for part_text, full_text, consts in family:
         part_vals = {c: s.count
-                     for c, s in _sets_by_value(G, *_compiled(part_text),
-                                                consts).items()}
-        for c, sols in _sets_by_value(G, *_compiled(full_text),
-                                      consts).items():
+                     for c, s in _by_value(G, part_text, consts).items()}
+        for c, sols in _by_value(G, full_text, consts).items():
             part_identity = part_vals.get(c, 0) == G.order
             if is_abelian(G) and part_identity:
                 continue
@@ -670,22 +667,20 @@ def check_conj_comm(G):
             cls_of[g] = cl
     index = _centralizer_indices(G)
     hyp_any = False
-    for g in range(G.order):
-        for h in range(G.order):
-            k = min(index[g], index[h])
-            bits = 0
-            for x in range(G.order):
-                if G.comm(g, G.conj(h, x)) == G.identity:
-                    bits |= 1 << x
-            ok, _ = is_k_large(G, Subset(G, bits), k)
-            if not ok:
-                continue
-            hyp_any = True
-            for a in cls_of[g]:
-                for b in cls_of[h]:
-                    if G.comm(a, b) != G.identity:
-                        return _result("conj_comm", G, True, False, None,
-                                       {"g": g, "h": h, "a": a, "b": b})
+    pairs = itertools.product(range(G.order), repeat=2)
+    for (g, h), by_value in zip(pairs, _slices(G, "[g,h^x1]", ("g", "h"))):
+        k = min(index[g], index[h])
+        commuting = by_value.get(G.identity)
+        ok, _ = is_k_large(G, Subset(G, commuting.bits if commuting else 0),
+                           k)
+        if not ok:
+            continue
+        hyp_any = True
+        for a in cls_of[g]:
+            for b in cls_of[h]:
+                if G.comm(a, b) != G.identity:
+                    return _result("conj_comm", G, True, False, None,
+                                   {"g": g, "h": h, "a": a, "b": b})
     return _result("conj_comm", G, hyp_any, True)
 
 
@@ -696,47 +691,31 @@ def check_triple_comm(G):
     hyp_any = False
     zen = center(G)
     index = _centralizer_indices(G)
-    for g in range(G.order):
-        for h in range(G.order):
-            need = 2 * index[h]
-            buckets_a = {}
-            buckets_b = {}
-            for x in range(G.order):
-                va = G.comm(G.comm(x, g), h)
-                vb = G.comm(G.comm(g, x), h)
-                buckets_a[va] = buckets_a.get(va, 0) | (1 << x)
-                buckets_b[vb] = buckets_b.get(vb, 0) | (1 << x)
-            for c, bits in sorted(buckets_a.items()):
-                ok, _ = is_k_large(G, Subset(G, bits), need)
+    pairs = itertools.product(range(G.order), repeat=2)
+    sides = zip(_slices(G, "[[x1,g],h]", ("g", "h")),
+                _slices(G, "[[g,x1],h]", ("g", "h")))
+    for (g, h), (left, middle) in zip(pairs, sides):
+        need = 2 * index[h]
+        for side, by_value in (("left", left), ("middle", middle)):
+            for c, sols in by_value.items():
+                if side == "middle" and not zen.contains(c):
+                    continue
+                ok, _ = is_k_large(G, Subset(G, sols.bits), need)
                 if not ok:
                     continue
                 hyp_any = True
-                for a in range(G.order):
-                    if G.comm(G.comm(a, g), h) != G.identity:
-                        return _result("triple_comm", G, True, False, None,
-                                       {"side": "left", "g": g, "h": h,
-                                        "value": c, "witness": a})
-            for c, bits in sorted(buckets_b.items()):
-                if not zen.contains(c):
-                    continue
-                ok, _ = is_k_large(G, Subset(G, bits), need)
-                if not ok:
-                    continue
-                hyp_any = True
-                for a in range(G.order):
-                    if G.comm(G.comm(g, a), h) != G.identity:
-                        return _result("triple_comm", G, True, False, None,
-                                       {"side": "middle", "g": g, "h": h,
-                                        "value": c, "witness": a})
+                # a witness is the least x where the word is not e
+                ones = by_value.get(G.identity)
+                rest = ((1 << G.order) - 1) & ~(ones.bits if ones else 0)
+                if rest:
+                    a = (rest & -rest).bit_length() - 1
+                    return _result("triple_comm", G, True, False, None,
+                                   {"side": side, "g": g, "h": h,
+                                    "value": c, "witness": a})
     return _result("triple_comm", G, hyp_any, True)
 
 
 # --- nilpotency -------------------------------------------------------------
-
-
-def _left_normed_word(arity):
-    text = "[" + ",".join(f"x{i + 1}" for i in range(arity)) + "]"
-    return parse_word(text)
 
 
 def check_nilp_mc(G):
@@ -752,8 +731,8 @@ def check_nilp_mc(G):
         s = mc.s
         bound = 1 - Fraction(1, 2 * (s + 1) ** k)
         cls = nilpotency_class(G)
-        word = _left_normed_word(k + 1)
-        for c, sols in solution_sets_by_value(G, word).items():
+        word = "[" + ",".join(f"x{i + 1}" for i in range(k + 1)) + "]"
+        for c, sols in _by_value(G, word).items():
             if cls is not None and cls <= k and c == G.identity:
                 continue
             hyp_any = True
@@ -775,17 +754,22 @@ def check_supercomm_const(G):
     cls = nilpotency_class(G)
     if cls is None:
         return _result("supercomm_const", G, False, True)
-    instances = [("[x1,x2]", None, 0)]
-    for g in range(G.order):
-        instances.append(("[x1,g]", {"g": g}, 1))
-        instances.append(("[x1,g]*[x2,g]", {"g": g}, 1))
-        for h in range(G.order):
-            instances.append(("[[x1,g],h]", {"g": g, "h": h}, 2))
+
+    def instances():
+        yield "[x1,x2]", None, 0, _by_value(G, "[x1,x2]")
+        singles = zip(_slices(G, "[x1,g]", ("g",)),
+                      _slices(G, "[x1,g]*[x2,g]", ("g",)))
+        nested = _slices(G, "[[x1,g],h]", ("g", "h"))
+        for g, (single, product) in enumerate(singles):
+            yield "[x1,g]", {"g": g}, 1, single
+            yield "[x1,g]*[x2,g]", {"g": g}, 1, product
+            for h in range(G.order):
+                yield "[[x1,g],h]", {"g": g, "h": h}, 2, next(nested)
+
     hyp_any = False
-    compiled = cache(_compiled)
-    for text, consts, nparams in instances:
+    for text, consts, nparams, by_value in instances():
         need = max(2 ** (cls - nparams), 1)
-        for c, sols in _sets_by_value(G, *compiled(text), consts).items():
+        for c, sols in by_value.items():
             if not _power_large(G, sols, need):
                 continue
             hyp_any = True
@@ -810,8 +794,7 @@ def check_nilpotent_identity(G):
               ("[x1,g]", {"g": gval})]
     hyp_any = False
     for text, consts in family:
-        for c, sols in _sets_by_value(G, *_compiled(text),
-                                      consts).items():
+        for c, sols in _by_value(G, text, consts).items():
             if not _power_large(G, sols, need):
                 continue
             hyp_any = True
@@ -832,7 +815,7 @@ def check_nilpotent_exponent(G):
     exp = exponent(G)
     hyp_any = False
     for n in range(1, 13):
-        for c, sols in solution_sets_by_value(G, f"x1^{n}").items():
+        for c, sols in _by_value(G, f"x1^{n}").items():
             ok, _ = is_k_large(G, Subset(G, sols.bits), need)
             if not ok:
                 continue
@@ -986,8 +969,7 @@ def _search_comm_2large_c(groups):
     rotation; A4, Q8 and H2 have such a constant too.
     """
     for G in groups:
-        buckets = solution_sets_by_value(G, "[x1,x2]")
-        for c, sols in buckets.items():
+        for c, sols in _by_value(G, "[x1,x2]").items():
             if c == G.identity:
                 continue
             if not _power_large(G, sols, 2):
@@ -1039,15 +1021,18 @@ def _search_gamma_k(groups):
     the derived subgroup does not centralize g."""
     for G in groups:
         der = derived_subgroup(G)
+        commutators = None
         for g in range(G.order):
             cen = centralizer(G, [g])
             if all(cen.contains(d) for d in der.indices()):
                 continue
+            if commutators is None:     # one bucketing per group
+                commutators = _by_value(G, "[x1,x2]")
             P = power(G, 2)
             bits = 0
-            for idx, (x0, x1) in enumerate(P.tuples()):
-                if cen.contains(G.comm(x0, x1)):
-                    bits |= 1 << idx
+            for c, sols in commutators.items():
+                if cen.contains(c):
+                    bits |= sols.bits
             ok, _ = is_k_large(P, Subset(P, bits), 4)
             if not ok:
                 continue

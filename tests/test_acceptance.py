@@ -3,6 +3,7 @@
 Runtime limits and expected values are asserted exactly as pinned; a
 failure here is a release blocker, not a flaky test.
 """
+import hashlib
 import json
 import random
 import time
@@ -28,6 +29,7 @@ from eqlarge.verifier import (
     result_to_dict,
     run_search,
     run_suite,
+    set_seed,
     suite_summary,
 )
 from eqlarge.words import parse_equation
@@ -159,9 +161,16 @@ def test_criterion_07_linearization_sweep():
 
 def test_criterion_08_verifier_suite_catalog_16():
     done = timed(300.0)
+    set_seed(0)
     results = run_suite(catalog_upto(16))
     summary = suite_summary(results)
     assert summary["failed"] == 0, summary["failures"]
+    # the bytes of `eqlarge verify --format json` at seed 0, the north star
+    rows = [result_to_dict(r) for r in results]
+    out = json.dumps({"results": rows, "summary": summary}, sort_keys=True,
+                     indent=2) + "\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "68cec595db336a5768272bb7194906567de30d72f1aae70a149c3d871ec65176"
     assert len(summary["checks_with_content"]) >= 20
     by = {(r.check_id, r.group_label): r for r in results}
 

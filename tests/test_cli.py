@@ -4,9 +4,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 from hypothesis import given, settings, strategies as st
 
+from eqlarge.verifier import CHECKS
 from eqlarge.words import MAX_WORD_HEIGHT
 
 BUDGET_TRAP = {"elements": [2, 3, 8, 12, 14, 15, 18, 19]}
@@ -100,7 +102,8 @@ def test_catalog_listing():
 
 
 def test_verify_json_is_deterministic():
-    args = ("verify", "all", "--groups", "S3,C4", "--format", "json")
+    args = ("verify", "--checks", ",".join(CHECKS), "--groups", "S3,C4",
+            "--format", "json")
     first = run_cli(*args)
     second = run_cli(*args)
     assert first.returncode == 0
@@ -111,7 +114,7 @@ def test_verify_json_is_deterministic():
 
 
 def test_verify_csv():
-    p = run_cli("verify", "erdos_turan", "--groups", "S3,C4",
+    p = run_cli("verify", "--checks", "erdos_turan", "--groups", "S3,C4",
                 "--format", "csv")
     assert p.returncode == 0
     assert p.stdout.splitlines() == [
@@ -148,8 +151,9 @@ def test_usage_errors_exit_2():
     p = run_cli("prob", "Z9", "x1=#e")
     assert "did you mean C9?" in p.stderr
     assert run_cli("prob", "S3", "x1*=").returncode == 2
-    assert run_cli("verify", "all", "--groups", "S3", "--jobs", "1")\
-        .returncode == 2
+    assert run_cli("verify", "--groups", "S3", "--jobs", "1").returncode == 2
+    # check ids go through --checks only; there is no positional selector
+    assert run_cli("verify", "all", "--groups", "S3").returncode == 2
     assert run_cli("frobnicate").returncode == 2
 
 
@@ -232,11 +236,15 @@ cli.main()
         assert "BrokenPipeError" not in p.stderr
 
 
+# past the size cap: declined with 3 before anything is built
+OVERSIZED_SPECS = ["C100000", "D5000", "E2^40", "E3^99999999999",
+                   "perm:1000000:(1 2)", "catalog<=3000", "C" + "9" * 5000]
 GROUP_SPECS = ["C1", "C2", "C4", "S3", "D4", "Q8", "H2", "E2^2", "C2xC3",
                "perm:3:(1 2);(1 2 3)", "catalog<=4", "Z9", "C0", "D2", "S9",
                "E4^2", "E2^0", "H7", "s3", "", "x", "C2x", "catalog<=x",
                "perm:3:(1 a)", "perm:x:(1 2)", "perm:3:(1 2", "perm:2:(1 3)",
-               "perm:3:(1 1)", "perm:", "@", "@.", "@no-such-file.json"]
+               "perm:3:(1 1)", "perm:", "@", "@.", "@no-such-file.json",
+               *OVERSIZED_SPECS]
 WORD_PIECES = ["x1", "x2", "x5", "x0", "#e", "#1", "#99", "#-1", "g", "c",
                "^2", "^-1", "^", "*", "[", "]", ",", ";2", ";0", "(", ")",
                "=", " ", "[x1,x2]", "[x1,g]", "x1^3"]
@@ -265,10 +273,14 @@ def cli_argv(draw):
         argv.append(draw(words))
     if command == "cover":
         argv += ["--subset", draw(st.sampled_from(SUBSETS))]
-    if command in ("verify", "search"):
+    if command == "verify":
+        argv += ["--checks", draw(st.sampled_from(
+            ["erdos_turan,frobenius", "frobenius", "all", "nope", ""]))]
+    if command == "search":
         argv.append(draw(st.sampled_from(
-            ["all", "erdos_turan,frobenius", "nope", "oq_gamma_k",
-             "oq_cube_5large", "oq_comm_2large_c", ""])))
+            ["oq_gamma_k", "oq_cube_5large", "oq_comm_2large_c", "nope",
+             ""])))
+    if command in ("verify", "search"):
         argv += ["--groups", draw(group)]
     if command == "catalog":
         argv.append(draw(group))
@@ -327,3 +339,16 @@ def test_unreadable_specs_exit_2():
                  ["info", "@."],
                  ["cover", "C1", "--subset", '{"group": [], "elements": []}']):
         assert run_in_process(argv) == 2, argv
+
+
+def test_oversized_specs_exit_3_quickly():
+    for spec in OVERSIZED_SPECS:
+        start = time.monotonic()
+        p = run_cli("catalog", spec)
+        assert p.returncode == 3, spec[:24]
+        assert "Traceback" not in p.stderr
+        assert "size cap" in p.stderr
+        assert time.monotonic() - start < 5.0, spec[:24]
+    # the cap itself is allowed: a degree-2048 transposition is cheap
+    assert run_in_process(["info", "perm:2048:(1 2)"]) == 0
+    assert run_in_process(["info", "perm:2049:(1 2)"]) == 3

@@ -4,8 +4,11 @@ Words are drawn over every node kind, with powers -3..3, Engel counts up
 to 3, bound and unbound constants and element literals; each is run
 through evaluate, evaluate_product and the solution-set enumerations on
 catalog groups up to order 24 and on a componentwise product without a
-table.  Values, bits, counts and the error raised must all agree.
+table.  Values, bits, counts and the error raised must all agree.  The
+enumeration with constants ranging over the group is held to the same
+buckets as binding each tuple of constants, and as a plain element loop.
 """
+import itertools
 import random
 
 import pytest
@@ -20,7 +23,11 @@ from eqlarge.group import (
     direct_product,
     is_abelian,
 )
-from eqlarge.probability import solution_set, solution_sets_by_value
+from eqlarge.probability import (
+    _sets_by_value,
+    solution_set,
+    solution_sets_by_value,
+)
 from eqlarge.words import (
     Comm,
     Conj,
@@ -31,6 +38,7 @@ from eqlarge.words import (
     Pow,
     Prod,
     Var,
+    compile_words,
     evaluate,
     evaluate_product,
     parse_equation,
@@ -177,3 +185,49 @@ def test_word_errors_are_raised_as_before():
         solution_set(S3, "[x1,g] = #e")
     with pytest.raises(UnboundConstant):
         solution_sets_by_value(S3, "x1 * #6")
+
+
+# words with constants ranging over the group, each with the same word
+# evaluated one element at a time through the group's own operations
+RANGED = {
+    "[g,h^x1]": (("g", "h"), lambda G, g, h, x: G.comm(g, G.conj(h, x))),
+    "[[x1,g],h]": (("g", "h"), lambda G, g, h, x: G.comm(G.comm(x, g), h)),
+    "x1*g*x2": (("g",), lambda G, g, x, y: G.mul(G.mul(x, g), y)),
+    "(a*x1)^2": (("a",), lambda G, a, x: G.pow(G.mul(a, x), 2)),
+    "[x1,x2]": ((), lambda G, x, y: G.comm(x, y)),
+    "[g,h]": (("g", "h"), lambda G, g, h: G.comm(g, h)),
+}
+
+
+def listed(by_value):
+    return [(v, s.bits, s.count) for v, s in by_value.items()]
+
+
+def loop_buckets(G, fn, consts, arity):
+    """Value buckets of fn over every assignment, by a plain element loop;
+    keys in value order."""
+    bits, counts = {}, {}
+    for i, xs in enumerate(itertools.product(range(G.order), repeat=arity)):
+        v = fn(G, *consts, *xs)
+        bits[v] = bits.get(v, 0) | 1 << i
+        counts[v] = counts.get(v, 0) + 1
+    return [(v, bits[v], counts[v]) for v in sorted(bits)]
+
+
+@pytest.mark.parametrize("text", sorted(RANGED))
+def test_ranged_slices_match_bound_constants(text):
+    ranged, fn = RANGED[text]
+    word = parse_word(text)
+    program = compile_words([word])
+    arity = word_arity(word)
+    for G in catalog_upto(24):
+        tuples = list(itertools.product(range(G.order), repeat=len(ranged)))
+        slices = list(_sets_by_value(G, program, arity, None, ranged))
+        assert len(slices) == len(tuples)
+        for consts, by_value in zip(tuples, slices):
+            got = listed(by_value)
+            bound = dict(zip(ranged, consts))
+            assert got == listed(solution_sets_by_value(G, word, bound)), \
+                (G.label, consts)
+            assert got == loop_buckets(G, fn, consts, arity), \
+                (G.label, consts)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqlarge.catalog import catalog
-from eqlarge.errors import ArityMismatch, IndexBound
+from eqlarge import group
+from eqlarge.errors import ArityMismatch, IndexBound, OrderBound
 from eqlarge.group import (
     ProductGroup,
     Subset,
@@ -18,7 +19,6 @@ from eqlarge.group import (
 )
 from eqlarge.largeness import UNBOUNDED
 from eqlarge.probability import (
-    EnumLimits,
     autocommutativity_degree,
     commuting_probability,
     equation_largeness,
@@ -185,9 +185,18 @@ def test_inner_action_degree_matches_commuting_probability():
             / center(G).size
 
 
-def test_enumeration_limits():
+def test_enumeration_limits(monkeypatch):
     with pytest.raises(ArityMismatch):
         solution_set(S3, parse_equation("x1*x2*x3*x4*x5 = #e"))
+    # the one index bound, read at call time, caps enumerations and
+    # products alike
+    monkeypatch.setattr(group, "INDEX_BOUND", 100)
     with pytest.raises(IndexBound):
-        solution_set(S3, parse_equation("x1*x2*x3*x4 = #e"),
-                     limits=EnumLimits(arity_cap=4, index_cap=100))
+        solution_set(S3, parse_equation("x1*x2*x3*x4 = #e"))
+    assert solution_set(S3, parse_equation("x1*x2 = #e")).count == 6
+    with pytest.raises(OrderBound):
+        power(catalog("S3"), 3)     # a fresh group, so no cached power
+    S4 = catalog("S4")
+    inner = inner_automorphisms(S4)     # 24 maps, so 576 pairs
+    with pytest.raises(OrderBound):
+        autocommutativity_degree(S4, Subset.full(S4), inner)

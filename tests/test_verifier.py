@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from eqlarge import verifier
 from eqlarge.catalog import catalog, catalog_upto, parse_group_list
 from eqlarge.errors import UnknownCheck, UnknownQuestion
+from eqlarge.group import center
 from eqlarge.verifier import (
     CHECKS,
     QUESTIONS,
@@ -156,3 +158,18 @@ def test_question_witnesses_are_found_and_reverified():
     assert hit2 is not None
     assert hit2["group"] == "A4"
     assert hit2["reverified"]
+
+
+def test_forced_hypotheses_report_the_least_witness(monkeypatch):
+    # with every largeness hypothesis forced, the checks fail and must name
+    # the least witness a plain element loop finds
+    monkeypatch.setattr(verifier, "is_k_large", lambda *args: (True, None))
+    w = only(run_check("triple_comm", [S3])).witness
+    assert w["side"] == "left" and w["witness"] == min(
+        x for x in range(S3.order)
+        if S3.comm(S3.comm(x, w["g"]), w["h"]) != S3.identity)
+    monkeypatch.setattr(verifier, "_power_large", lambda *args: True)
+    w = only(run_check("central_identity", [D4])).witness
+    Z = list(center(D4).indices())
+    assert w["word"] == "x1*g*x2" and w["tuple"] == next(
+        [a, b] for a in Z for b in Z if D4.mul(a, b) != D4.identity)
