@@ -289,29 +289,27 @@ def catalog(spec):
 
 def catalog_upto(max_order):
     """The documented catalog sweep: every named family member of order
-    at most max_order, in a fixed canonical order."""
+    at most max_order, in a fixed canonical order.  A sweep whose tables
+    hold more entries in all (the sum of the squared orders) than the
+    largest member allowed, PERM_CLOSURE_CAP squared, raises OrderBound
+    before anything is built."""
     _within_cap(f"catalog<={max_order}", max_order)
-    out = []
-    for n in range(1, max_order + 1):
-        out.append(cyclic(n))
-    for n in range(3, max_order // 2 + 1):
-        out.append(dihedral(n))
-    for n in range(3, 7):
-        if math.factorial(n) <= max_order:
-            out.append(symmetric(n))
-    for n in range(4, 7):
-        if math.factorial(n) // 2 <= max_order:
-            out.append(alternating(n))
-    if max_order >= 8:
-        out.append(quaternion())
-    for p in (2, 3, 5):
-        for k in range(2, 5):
-            if p ** k <= max_order:
-                out.append(elementary_abelian(p, k))
-    for p in (2, 3, 5):
-        if p ** 3 <= max_order:
-            out.append(heisenberg(p))
-    return out
+    # (order, family, arguments) of every candidate, in the canonical order
+    members = [(n, cyclic, n) for n in range(1, max_order + 1)]
+    members += [(2 * n, dihedral, n) for n in range(3, max_order // 2 + 1)]
+    members += [(math.factorial(n), symmetric, n) for n in range(3, 7)]
+    members += [(math.factorial(n) // 2, alternating, n) for n in range(4, 7)]
+    members.append((8, quaternion))
+    members += [(p ** k, elementary_abelian, p, k)
+                for p in (2, 3, 5) for k in range(2, 5)]
+    members += [(p ** 3, heisenberg, p) for p in (2, 3, 5)]
+    members = [m for m in members if m[0] <= max_order]
+    entries = sum(m[0] ** 2 for m in members)
+    if entries > PERM_CLOSURE_CAP ** 2:
+        raise OrderBound(f"catalog<={max_order} holds {entries} table "
+                         f"entries, more than the size cap "
+                         f"{PERM_CLOSURE_CAP}**2")
+    return [family(*args) for _, family, *args in members]
 
 
 _CATALOG_RE = re.compile(r"catalog\s*<=\s*(\d+)")

@@ -86,6 +86,9 @@ class Group:
         self._powers = {}
         # cover decisions by subset bits, kept by largeness.is_k_generic
         self._decisions = {}
+        # translate tables of the bytes column arithmetic, built by
+        # words.column_ops on first use at order 16 or less
+        self._packed = None
 
     def mul(self, a, b):
         raise NotImplementedError

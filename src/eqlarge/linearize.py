@@ -67,13 +67,44 @@ class _Expander:
         self.created = 0
         self._ysub_cache = {}
         self._phi_cache = {}
+        # id(node) -> its variables, one frozenset object per distinct set
+        # (there are few); the nodes stay in _nodes so that no recorded id
+        # is freed and reused while the expander lives
+        self._vars = {}
+        self._sets = {}
+        self._nodes = []
+
+    def vars(self, w):
+        """The variable set of a node, from its children's sets; recorded
+        as mk, ysub and _expand build each node, and for a node of the
+        input word when first asked."""
+        found = self._vars.get(id(w))
+        if found is None:
+            t = type(w)
+            if t is Comm:
+                found = self.vars(w.left) | self.vars(w.right)
+            elif t is Inv:
+                found = self.vars(w.body)
+            elif t is Var:
+                found = frozenset((w.index,))
+            elif t is Const:
+                found = frozenset()
+            else:
+                raise NotASupercommutator(f"unexpected node {w!r}")
+            found = self._vars[id(w)] = self._sets.setdefault(found, found)
+            self._nodes.append(w)
+        return found
+
+    def built(self, w):
+        self.vars(w)
+        return w
 
     def mk(self, a, b):
         self.created += 1
         if self.created > self.budget.max_factors:
             raise BudgetExceeded(
                 f"linearization exceeds {self.budget.max_factors} factors")
-        return Comm(a, b)
+        return self.built(Comm(a, b))
 
     def ysub(self, w):
         got = self._ysub_cache.get(id(w))
@@ -90,10 +121,10 @@ class _Expander:
         else:
             raise NotASupercommutator(f"unexpected node {w!r}")
         self._ysub_cache[id(w)] = out
-        return out
+        return self.built(out)
 
-    def var_x(self, w):
-        return sum(1 for i in word_variables(w) if i in self.xmap)
+    def has_x(self, w):
+        return not self.vars(w).isdisjoint(self.xmap)
 
     def absorb(self, items, u):
         out = []
@@ -144,17 +175,17 @@ class _Expander:
                 return []
             phi_u = self.expand(v.body)
             b = self.ysub(v)
-            inner = [Inv(t) for t in reversed(phi_u)]
+            inner = [self.built(Inv(t)) for t in reversed(phi_u)]
             out = self.absorb(self.absorb(inner, v), b)
             out.append(self.mk(b, v))
             return out
         if isinstance(v, Comm):
             left, right = v.left, v.right
             j_items = [left]
-            if self.var_x(left) > 0:
+            if self.has_x(left):
                 j_items = [left, self.ysub(left)] + self.expand(left)
             k_items = [right]
-            if self.var_x(right) > 0:
+            if self.has_x(right):
                 k_items = [right, self.ysub(right)] + self.expand(right)
             raw = self.cp(j_items, k_items)
             ja, ka = j_items[0], k_items[0]
@@ -194,22 +225,23 @@ def check_factor_condition(w, v, xbar, ybar, zbar=None):
     """The structural condition every emitted factor must satisfy: same
     undesignated variables as v, x_i or its partner wherever v uses x_i,
     and at least one x and one y present."""
-    vw = word_variables(w)
     vv = word_variables(v)
     if zbar is None:
-        zbar = tuple(sorted(vv - set(xbar)))
-    zset = set(zbar)
+        zbar = vv - set(xbar)
+    return _factor_condition_holds(word_variables(w), vv, xbar, ybar,
+                                   set(zbar))
+
+
+def _factor_condition_holds(vw, vv, xbar, ybar, zset):
+    """check_factor_condition on variable sets: vw of the factor, vv of v,
+    zset of the undesignated variables."""
     if (vw & zset) != (vv & zset):
         return False
     partner = dict(zip(xbar, ybar))
-    for x in vv & set(xbar):
+    for x in vv.intersection(xbar):
         if x not in vw and partner[x] not in vw:
             return False
-    if not any(x in vw for x in xbar):
-        return False
-    if not any(y in vw for y in ybar):
-        return False
-    return True
+    return any(x in vw for x in xbar) and any(y in vw for y in ybar)
 
 
 def linearize(v, xbar, ybar, zbar=None, budget=DEFAULT_BUDGET):
@@ -229,8 +261,10 @@ def linearize(v, xbar, ybar, zbar=None, budget=DEFAULT_BUDGET):
         zbar = tuple(sorted(vars_v - set(xbar)))
     exp = _Expander(dict(zip(xbar, ybar)), budget)
     phi = exp.expand(v)
+    zset = set(zbar)
     for w in phi:
-        if not check_factor_condition(w, v, xbar, ybar, zbar):
+        if not _factor_condition_holds(exp.vars(w), vars_v, xbar, ybar,
+                                       zset):
             raise AssertionError(
                 f"construction emitted a bad factor for {to_text(v)}")
     return phi
@@ -279,7 +313,7 @@ def linearize_product(factors, xbar, ybar, n=None, budget=DEFAULT_BUDGET):
         pos += 1
     prefix, phi = items[:pos], items[pos:]
     for w in phi:
-        vw = word_variables(w)
+        vw = exp.vars(w)
         if not (vw & xset) or len(vw - xset) <= n:
             raise AssertionError("product construction emitted a bad factor")
     return phi, prefix
@@ -304,11 +338,12 @@ def _draw(G, rng, samples, names, top, constants):
     return consts, columns
 
 
-def _shifted(G, columns, xbar, ybar):
-    """The columns with each designated x replaced by y*x."""
+def _shifted(ops, columns, xbar, ybar):
+    """The columns, of the column type of ops, with each designated x
+    replaced by y*x."""
     out = list(columns)
     for xi, yi in zip(xbar, ybar):
-        out[xi] = list(map(G.mul, columns[yi], columns[xi]))
+        out[xi] = ops.mul(columns[yi], columns[xi])
     return out
 
 
@@ -320,14 +355,15 @@ def linearization_identity_holds(G, v, xbar, ybar, phi, samples=100, seed=0,
     top = max([i for i in (*xbar, *ybar, *word_variables(v))], default=-1)
     names = [c for c in sorted(word_constants(v)) if not c.startswith("#")]
     consts, base = _draw(G, rng, samples, names, top, constants)
+    ops = column_ops(G)
+    base = list(map(ops.column, base))
     ysubbed = list(base)
     for xi, yi in zip(xbar, ybar):
         ysubbed[xi] = base[yi]
-    ops = column_ops(G)
     program = compile_words([v])
     (lhs,), (at_x,), (at_y,) = (
         run_program(program, ops, columns, samples, consts)
-        for columns in (_shifted(G, base, xbar, ybar), base, ysubbed))
+        for columns in (_shifted(ops, base, xbar, ybar), base, ysubbed))
     (rest,) = run_program(compile_words(phi, product=True), ops, base,
                           samples, consts)
     rhs = ops.mul(ops.mul(at_x, at_y), rest)
@@ -347,8 +383,9 @@ def product_identity_holds(G, factors, xbar, ybar, phi, prefix, samples=50,
         names |= {c for c in word_constants(w) if not c.startswith("#")}
     consts, base = _draw(G, rng, samples, sorted(names), top, constants)
     ops = column_ops(G)
+    base = list(map(ops.column, base))
     (lhs,) = run_program(compile_words(factors, product=True), ops,
-                         _shifted(G, base, xbar, ybar), samples, consts)
+                         _shifted(ops, base, xbar, ybar), samples, consts)
     (head,), (rest,) = (
         run_program(compile_words(words, product=True), ops, base, samples,
                     consts) for words in (prefix, phi))

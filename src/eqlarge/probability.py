@@ -98,12 +98,13 @@ def _blocks(G, program, arity, constants, ranged=()):
     lead = 1 if width > 1 else 0
     free = width - lead
     size = n ** free
-    # the other coordinates count through their values, rightmost fastest
-    tail = [[v for v in range(n) for _ in range(n ** (free - 1 - j))]
-            * n ** j for j in range(free)]
     ops = column_ops(G)
+    # the other coordinates count through their values, rightmost fastest
+    tail = [ops.column([v for v in range(n)
+                        for _ in range(n ** (free - 1 - j))] * n ** j)
+            for j in range(free)]
     for first in range(n ** lead):
-        columns = ([[first] * size] if lead else []) + tail
+        columns = ([ops.fill(first, size)] if lead else []) + tail
         bound = {**(constants or {}), **dict(zip(ranged, columns))}
         yield first * size, run_program(program, ops, columns[len(ranged):],
                                         size, bound)
@@ -121,7 +122,7 @@ def solution_set(G, equation, constants=None):
     bits = {}
     counts = {}
     for offset, (a, b) in _blocks(G, compile_words(sides), arity, constants):
-        _bucket(list(map(eq, a, b)), 2, offset, bits, counts)
+        _bucket(bytes(map(eq, a, b)), 2, offset, bits, counts)
     # the matching rows are the bucket of True, which is 1
     return SolutionSet(G, arity, bits.get(1, 0), counts.get(1, 0))
 
@@ -158,9 +159,10 @@ def _sets_by_value(G, program, arity, constants=None, ranged=()):
 
 def _bucket(values, order, offset, bits, counts):
     """Add each value's positions in the column, shifted by offset, to its
-    bitmask in bits, and its count to counts."""
+    bitmask in bits, and its count to counts.  A bytes column is read as
+    it is."""
     if order <= 256:
-        data = bytes(values)
+        data = values if type(values) is bytes else bytes(values)
         backwards = data[::-1]
         zeros = b"0" * 256
         for v in set(data):

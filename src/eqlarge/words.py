@@ -12,10 +12,15 @@ sugar for ``[[u,v],w]``.  ``^`` binds tighter than ``*``.
 
 Evaluation does not recurse.  compile_words turns a list of words into a
 straight-line program, one slot per structurally distinct node, and
-run_program runs it over whole columns of assignments, one list per
-variable: a table-backed group gathers each product through its table
-rows, a componentwise product maps its own mul.  evaluate and
-evaluate_product run the same program on a single row.
+run_program runs it over whole columns of assignments, one column per
+variable.  A column is bytes for a table-backed group of order at most
+16: each step is a few C-level calls over the whole column, an inverse
+one bytes.translate, a product or commutator the operands packed as
+(a << 4) | b and translated through a 256-byte table, the tables kept
+on the group in G._packed.  A column is a list otherwise: a larger
+table-backed group gathers each product through its table rows, a
+componentwise product maps its own mul.  evaluate and evaluate_product
+run the same program on a single row.
 """
 
 from __future__ import annotations
@@ -539,11 +544,77 @@ def compile_words(roots, product=False):
     return prog
 
 
-class _TableColumns:
-    """Column arithmetic of a table-backed group: every step is a C-level
-    gather through the table rows.  Once the commutators asked for reach
-    the table's size, a commutator table is built; it lives as long as
-    this object, which is one call."""
+# Largest order whose element indices pack two to a byte
+PACKED_ORDER_BOUND = 16
+
+
+def _packed_tables(G):
+    """The translate tables of a group of order at most 16: a -> a << 4,
+    a -> a^-1, and a*b and [a,b] at the byte (a << 4) | b.  Entries past
+    the order are 0."""
+    n = G.order
+    product, commutator = bytearray(256), bytearray(256)
+    for a, row in enumerate(G.table):
+        for b, ab in enumerate(row):
+            product[a << 4 | b] = ab
+            commutator[a << 4 | b] = G.comm(a, b)
+    return (bytes((a << 4) & 255 for a in range(256)),
+            bytes(G.inverses) + bytes(256 - n), bytes(product),
+            bytes(commutator))
+
+
+class _PackedColumns:
+    """Column arithmetic of a table-backed group of order at most 16, on
+    bytes columns.  A product or commutator packs the operands as
+    (a << 4) | b, shifting A by one translate and merging it into B
+    through int.from_bytes and |, then translates the packed column
+    through a 256-byte table; an inverse is one translate.  The tables
+    are built once per group and kept in G._packed."""
+
+    column = bytes
+
+    def __init__(self, G):
+        self.group = G
+        if G._packed is None:
+            G._packed = _packed_tables(G)
+        self._high, self._inverse, self._product, self._commutator = \
+            G._packed
+
+    @staticmethod
+    def fill(value, length):
+        return bytes((value,)) * length
+
+    def _pack(self, A, B):
+        return (int.from_bytes(A.translate(self._high), "little")
+                | int.from_bytes(B, "little")).to_bytes(len(A), "little")
+
+    def mul(self, A, B):
+        return self._pack(A, B).translate(self._product)
+
+    def inv(self, A):
+        return A.translate(self._inverse)
+
+    def comm(self, A, B):
+        return self._pack(A, B).translate(self._commutator)
+
+
+class _ListColumns:
+    """List columns: a list is read as it is, any other column copied."""
+
+    @staticmethod
+    def column(values):
+        return values if type(values) is list else list(values)
+
+    @staticmethod
+    def fill(value, length):
+        return [value] * length
+
+
+class _TableColumns(_ListColumns):
+    """Column arithmetic of a table-backed group of order above 16: every
+    step is a C-level gather through the table rows.  Once the
+    commutators asked for reach the table's size, a commutator table is
+    built; it lives as long as this object, which is one call."""
 
     def __init__(self, G):
         self.group = G
@@ -573,7 +644,7 @@ class _TableColumns:
         return list(map(getitem, map(self._comm_rows, A), B))
 
 
-class _MappedColumns:
+class _MappedColumns(_ListColumns):
     """Column arithmetic through the group's own mul, inv and comm, for a
     componentwise product (no table; row(a) would build a whole row)."""
 
@@ -591,21 +662,30 @@ class _MappedColumns:
 
 
 def column_ops(G):
-    """Arithmetic on value columns (lists of elements) of G.  One call
-    makes one and shares it among its runs, so a commutator table is
-    built at most once."""
-    return _TableColumns(G) if hasattr(G, "table") else _MappedColumns(G)
+    """Arithmetic on value columns of G, with column(values) to convert a
+    column of element indices to its type and fill(value, length) to
+    repeat one element.  Columns are bytes for a table-backed group of
+    order at most PACKED_ORDER_BOUND and lists otherwise.  One call makes
+    one and shares it among its runs, so a commutator table above order
+    16 is built at most once."""
+    if not hasattr(G, "table"):
+        return _MappedColumns(G)
+    if G.order <= PACKED_ORDER_BOUND:
+        return _PackedColumns(G)
+    return _TableColumns(G)
 
 
 def run_program(program, ops, columns, length, constants=None):
-    """The root value columns of a program over length rows.
+    """The root value columns of a program over length rows, all of the
+    column type of ops.
 
-    columns[i] is the column of x(i+1); constants maps a name to a value
-    or to a column of values.  Unbound names resolve as literals.  Each
-    column is dropped after its last use.
+    columns[i] is the column of x(i+1), a list or bytes of element
+    indices; constants maps a name to an element or to such a column.
+    Unbound names resolve as literals.  Each column is dropped after its
+    last use.
     """
     G = ops.group
-    mul, inv, comm = ops.mul, ops.inv, ops.comm
+    mul, inv, comm, column = ops.mul, ops.inv, ops.comm, ops.column
     left, right, drops, names = (program.left, program.right, program.drops,
                                  program.names)
     vals = [None] * len(program.ops)
@@ -623,14 +703,20 @@ def run_program(program, ops, columns, length, constants=None):
                 raise ArityMismatch(
                     f"word uses x{x + 1} but assignment has "
                     f"{len(columns)} entries")
-            vals[i] = columns[x]
+            vals[i] = column(columns[x])
         elif op == _LOAD_CONST:
             name = names[a]
             value = (constants[name] if constants and name in constants
                      else resolve_constant(G, name))
-            vals[i] = value if isinstance(value, list) else [value] * length
+            if not isinstance(value, int):
+                vals[i] = column(value)
+            elif 0 <= value < G.order:
+                vals[i] = ops.fill(value, length)
+            else:
+                raise UnboundConstant(
+                    f"{name} = {value} outside 0..{G.order - 1}")
         else:
-            vals[i] = [G.identity] * length
+            vals[i] = ops.fill(G.identity, length)
         drop = drops[i]
         if drop & 1:
             vals[a] = None

@@ -14,8 +14,14 @@ from eqlarge.catalog import (
     quaternion,
     symmetric,
 )
-from eqlarge.errors import NotAPermutation, UnknownSpec
-from eqlarge.group import center, exponent, is_abelian, nilpotency_class
+from eqlarge.errors import NotAPermutation, OrderBound, UnknownSpec
+from eqlarge.group import (
+    PERM_CLOSURE_CAP,
+    center,
+    exponent,
+    is_abelian,
+    nilpotency_class,
+)
 
 
 def test_family_orders():
@@ -106,3 +112,26 @@ def test_heisenberg_is_class_two():
 def test_catalog_upto_function_matches_spec_string():
     assert ([g.label for g in catalog_upto(16)]
             == [g.label for g in parse_group_list("catalog<=16")])
+
+
+# the sweeps as they expanded before the sweep bound, label for label
+CATALOG_16 = (
+    [f"C{n}" for n in range(1, 17)] + [f"D{n}" for n in range(3, 9)]
+    + ["S3", "A4", "Q8", "E2^2", "E2^3", "E2^4", "E3^2", "H2"])
+CATALOG_24 = (
+    [f"C{n}" for n in range(1, 25)] + [f"D{n}" for n in range(3, 13)]
+    + ["S3", "S4", "A4", "Q8", "E2^2", "E2^3", "E2^4", "E3^2", "H2"])
+
+
+def test_sweep_bound_keeps_the_documented_sweeps():
+    assert [g.label for g in catalog_upto(16)] == CATALOG_16
+    assert [g.label for g in catalog_upto(24)] == CATALOG_24
+
+
+def test_sweep_bound_counts_the_whole_sweep():
+    # catalog<=202 holds 4,221,284 table entries, past 2048**2 = 4,194,304,
+    # although each member is far below the cap
+    assert 202 < PERM_CLOSURE_CAP
+    for n in (202, 300, PERM_CLOSURE_CAP):
+        with pytest.raises(OrderBound, match="size cap"):
+            catalog_upto(n)

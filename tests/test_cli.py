@@ -236,9 +236,12 @@ cli.main()
         assert "BrokenPipeError" not in p.stderr
 
 
-# past the size cap: declined with 3 before anything is built
+# past the size cap: declined with 3 before anything is built; a catalog
+# sweep is capped by its table entries in all, so catalog<=300 and
+# catalog<=2048 are refused although each member is within the cap
 OVERSIZED_SPECS = ["C100000", "D5000", "E2^40", "E3^99999999999",
-                   "perm:1000000:(1 2)", "catalog<=3000", "C" + "9" * 5000]
+                   "perm:1000000:(1 2)", "catalog<=3000", "catalog<=300",
+                   "catalog<=2048", "C" + "9" * 5000]
 GROUP_SPECS = ["C1", "C2", "C4", "S3", "D4", "Q8", "H2", "E2^2", "C2xC3",
                "perm:3:(1 2);(1 2 3)", "catalog<=4", "Z9", "C0", "D2", "S9",
                "E4^2", "E2^0", "H7", "s3", "", "x", "C2x", "catalog<=x",

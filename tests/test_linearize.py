@@ -8,7 +8,10 @@ from eqlarge.errors import (
     PreconditionViolated,
 )
 from eqlarge.linearize import (
+    DEFAULT_BUDGET,
     LinearizeBudget,
+    _Expander,
+    _prepare,
     check_factor_condition,
     enumerate_sweep_shapes,
     linearization_identity_holds,
@@ -142,3 +145,14 @@ def test_budget_is_enforced():
     with pytest.raises(BudgetExceeded):
         linearize(parse_word("[[x1,x2],x3]"), (0,), (3,),
                   budget=LinearizeBudget(max_factors=4))
+
+
+def test_recorded_variable_sets_match_the_tree_walk():
+    for text, v, xbar, ybar in enumerate_sweep_shapes():
+        v, xbar, ybar = _prepare(v, xbar, ybar)
+        exp = _Expander(dict(zip(xbar, ybar)), DEFAULT_BUDGET)
+        phi = exp.expand(v)
+        assert phi == linearize(v, xbar, ybar), text
+        for w in phi:
+            # recorded as the factor was built, not computed when asked
+            assert exp._vars[id(w)] == word_variables(w), (text, to_text(w))
