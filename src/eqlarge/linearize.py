@@ -226,10 +226,8 @@ def check_factor_condition(w, v, xbar, ybar, zbar=None):
     undesignated variables as v, x_i or its partner wherever v uses x_i,
     and at least one x and one y present."""
     vv = word_variables(v)
-    if zbar is None:
-        zbar = vv - set(xbar)
-    return _factor_condition_holds(word_variables(w), vv, xbar, ybar,
-                                   set(zbar))
+    zset = vv - set(xbar) if zbar is None else set(zbar)
+    return _factor_condition_holds(word_variables(w), vv, xbar, ybar, zset)
 
 
 def _factor_condition_holds(vw, vv, xbar, ybar, zset):
