@@ -21,6 +21,7 @@ from .group import (
     PERM_CLOSURE_CAP,
     TableGroup,
     _composition_group,
+    _read_number,
     cycle_name,
     direct_product,
     from_cayley_table,
@@ -50,11 +51,11 @@ def _within_cap(label, size):
 
 
 def _number(spec, digits):
-    """A spec's digits as an int; ten or more are past every size cap, and
-    int() would not even read thousands."""
-    if len(digits.lstrip("0")) > 9:
+    """A spec's digits as an int; ten or more are past every size cap."""
+    n = _read_number(digits)
+    if n is None:
         raise OrderBound(f"{spec[:24]}...: past the size cap")
-    return int(digits)
+    return n
 
 
 def cyclic(n):

@@ -37,7 +37,6 @@ from .group import (
     is_abelian,
     max_centralizer_index,
     nilpotency_class,
-    power,
     trivial_action,
 )
 from .largeness import (
@@ -103,7 +102,7 @@ def _parse_consts(G, pairs):
             idx = G.element_by_name(val)
             if idx is None:
                 raise UnboundConstant(
-                    f"no element named {val!r} in {G.label}") from None
+                    f"no element named {val[:24]!r} in {G.label}") from None
         if not 0 <= idx < G.order:
             raise UnboundConstant(f"element {idx} outside 0..{G.order - 1}")
         out[name] = idx
@@ -200,9 +199,8 @@ def _cmd_largeness(args):
     consts = _parse_consts(G, args.const)
     budget = SearchBudget(node_cap=args.budget_nodes)
     t0 = time.perf_counter()
-    sols = solution_set(G, args.equation, consts)
-    P = power(G, sols.arity)
-    report = largeness_report(P, Subset(P, sols.bits), budget)
+    X = solution_set(G, args.equation, consts).as_subset()
+    report = largeness_report(X.parent, X, budget)
     print(f"elapsed: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     payload = {
         "group": G.label,
@@ -236,10 +234,9 @@ def _cmd_largeness(args):
 def _load_subset(args, G):
     raw = args.subset
     if raw.startswith("solutions:"):
-        sols = solution_set(G, raw[len("solutions:"):],
-                            _parse_consts(G, args.const))
-        P = power(G, sols.arity)
-        return P, Subset(P, sols.bits)
+        X = solution_set(G, raw[len("solutions:"):],
+                         _parse_consts(G, args.const)).as_subset()
+        return X.parent, X
     try:
         obj = json.loads(raw)
     except ValueError:

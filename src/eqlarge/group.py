@@ -74,6 +74,16 @@ AUTOMORPHISM_GENERATOR_BOUND = 3
 MC_SUBSET_CAP = 1_000_000
 
 
+def _read_number(digits, bound=999_999_999):
+    """A string of decimal digits as an int, or None past bound.  The
+    default is past every size cap and every element order; int() would
+    not even read a few thousand digits."""
+    if len(digits.lstrip("0")) > len(str(bound)):
+        return None
+    n = int(digits)
+    return n if n <= bound else None
+
+
 class Group:
     """Base class: a finite group on indices 0..order-1."""
 
@@ -138,11 +148,8 @@ class Group:
                 return self.names.index(text)
             except ValueError:
                 return None
-        if text.isdecimal() and str(int(text)) == text:
-            a = int(text)
-            if a < self.order:
-                return a
-        return None
+        a = _read_number(text, self.order - 1) if text.isdecimal() else None
+        return a if str(a) == text else None
 
     def elements(self):
         return range(self.order)

@@ -60,51 +60,29 @@ class LinearizeBudget:
 DEFAULT_BUDGET = LinearizeBudget()
 
 
+def _mask(indices):
+    """The variable bits of the given indices, as in a node's var_bits."""
+    bits = 0
+    for i in indices:
+        bits |= 1 << i
+    return bits
+
+
 class _Expander:
     def __init__(self, xmap, budget):
         self.xmap = xmap
+        self.xmask = _mask(xmap)
         self.budget = budget
         self.created = 0
         self._ysub_cache = {}
         self._phi_cache = {}
-        # id(node) -> its variables, one frozenset object per distinct set
-        # (there are few); the nodes stay in _nodes so that no recorded id
-        # is freed and reused while the expander lives
-        self._vars = {}
-        self._sets = {}
-        self._nodes = []
-
-    def vars(self, w):
-        """The variable set of a node, from its children's sets; recorded
-        as mk, ysub and _expand build each node, and for a node of the
-        input word when first asked."""
-        found = self._vars.get(id(w))
-        if found is None:
-            t = type(w)
-            if t is Comm:
-                found = self.vars(w.left) | self.vars(w.right)
-            elif t is Inv:
-                found = self.vars(w.body)
-            elif t is Var:
-                found = frozenset((w.index,))
-            elif t is Const:
-                found = frozenset()
-            else:
-                raise NotASupercommutator(f"unexpected node {w!r}")
-            found = self._vars[id(w)] = self._sets.setdefault(found, found)
-            self._nodes.append(w)
-        return found
-
-    def built(self, w):
-        self.vars(w)
-        return w
 
     def mk(self, a, b):
         self.created += 1
         if self.created > self.budget.max_factors:
             raise BudgetExceeded(
                 f"linearization exceeds {self.budget.max_factors} factors")
-        return self.built(Comm(a, b))
+        return Comm(a, b)
 
     def ysub(self, w):
         got = self._ysub_cache.get(id(w))
@@ -121,10 +99,10 @@ class _Expander:
         else:
             raise NotASupercommutator(f"unexpected node {w!r}")
         self._ysub_cache[id(w)] = out
-        return self.built(out)
+        return out
 
     def has_x(self, w):
-        return not self.vars(w).isdisjoint(self.xmap)
+        return w.var_bits & self.xmask
 
     def absorb(self, items, u):
         out = []
@@ -175,7 +153,7 @@ class _Expander:
                 return []
             phi_u = self.expand(v.body)
             b = self.ysub(v)
-            inner = [self.built(Inv(t)) for t in reversed(phi_u)]
+            inner = [Inv(t) for t in reversed(phi_u)]
             out = self.absorb(self.absorb(inner, v), b)
             out.append(self.mk(b, v))
             return out
@@ -224,22 +202,15 @@ def _prepare(v, xbar, ybar):
 def check_factor_condition(w, v, xbar, ybar, zbar=None):
     """The structural condition every emitted factor must satisfy: same
     undesignated variables as v, x_i or its partner wherever v uses x_i,
-    and at least one x and one y present."""
-    vv = word_variables(v)
-    zset = vv - set(xbar) if zbar is None else set(zbar)
-    return _factor_condition_holds(word_variables(w), vv, xbar, ybar, zset)
-
-
-def _factor_condition_holds(vw, vv, xbar, ybar, zset):
-    """check_factor_condition on variable sets: vw of the factor, vv of v,
-    zset of the undesignated variables."""
-    if (vw & zset) != (vv & zset):
-        return False
+    and at least one x and one y present.  Read off the var_bits masks."""
+    vw, vv = w.var_bits, v.var_bits
+    xmask = _mask(xbar)
+    zmask = vv & ~xmask if zbar is None else _mask(zbar)
     partner = dict(zip(xbar, ybar))
-    for x in vv.intersection(xbar):
-        if x not in vw and partner[x] not in vw:
-            return False
-    return any(x in vw for x in xbar) and any(y in vw for y in ybar)
+    return ((vw ^ vv) & zmask == 0
+            and all(vw >> x & 1 or vw >> y & 1 for x, y in partner.items()
+                    if vv >> x & 1)
+            and vw & xmask != 0 and vw & _mask(ybar) != 0)
 
 
 def linearize(v, xbar, ybar, zbar=None, budget=DEFAULT_BUDGET):
@@ -249,20 +220,14 @@ def linearize(v, xbar, ybar, zbar=None, budget=DEFAULT_BUDGET):
     ybar); a violation would be a construction bug and raises.
     """
     v, xbar, ybar = _prepare(v, xbar, ybar)
-    vars_v = word_variables(v)
-    if set(ybar) & vars_v:
+    if v.var_bits & _mask(ybar):
         raise PreconditionViolated("ybar must be fresh for v")
-    if not (vars_v & set(xbar)):
+    if not v.var_bits & _mask(xbar):
         raise NoXVariable(f"{to_text(v)} uses none of the designated "
                           "variables")
-    if zbar is None:
-        zbar = tuple(sorted(vars_v - set(xbar)))
-    exp = _Expander(dict(zip(xbar, ybar)), budget)
-    phi = exp.expand(v)
-    zset = set(zbar)
+    phi = _Expander(dict(zip(xbar, ybar)), budget).expand(v)
     for w in phi:
-        if not _factor_condition_holds(exp.vars(w), vars_v, xbar, ybar,
-                                       zset):
+        if not check_factor_condition(w, v, xbar, ybar, zbar):
             raise AssertionError(
                 f"construction emitted a bad factor for {to_text(v)}")
     return phi
@@ -283,16 +248,15 @@ def linearize_product(factors, xbar, ybar, n=None, budget=DEFAULT_BUDGET):
         prepared.append(w2)
     if not prepared:
         raise PreconditionViolated("empty product")
-    xset = set(xbar)
+    xmask = _mask(xbar)
     counts = []
     for w in prepared:
-        vw = word_variables(w)
-        if set(ybar) & vw:
+        if w.var_bits & _mask(ybar):
             raise PreconditionViolated("ybar must be fresh for every factor")
-        if not (vw & xset):
+        if not w.var_bits & xmask:
             raise PreconditionViolated(
                 f"factor {to_text(w)} uses no designated variable")
-        counts.append(len(vw - xset))
+        counts.append((w.var_bits & ~xmask).bit_count())
     if n is None:
         n = min(counts)
     if any(c < n for c in counts):
@@ -311,8 +275,7 @@ def linearize_product(factors, xbar, ybar, n=None, budget=DEFAULT_BUDGET):
         pos += 1
     prefix, phi = items[:pos], items[pos:]
     for w in phi:
-        vw = exp.vars(w)
-        if not (vw & xset) or len(vw - xset) <= n:
+        if not w.var_bits & xmask or (w.var_bits & ~xmask).bit_count() <= n:
             raise AssertionError("product construction emitted a bad factor")
     return phi, prefix
 
@@ -347,47 +310,33 @@ def _shifted(ops, columns, xbar, ybar):
 
 def linearization_identity_holds(G, v, xbar, ybar, phi, samples=100, seed=0,
                                  constants=None):
-    """Spot-check the splitting identity by evaluation."""
+    """Spot-check the splitting identity by evaluation: the product check
+    of the one factor v, whose prefix is v and its y-substitute."""
     v = expand_engel(v)
-    rng = random.Random(seed)
-    top = max([i for i in (*xbar, *ybar, *word_variables(v))], default=-1)
-    names = [c for c in sorted(word_constants(v)) if not c.startswith("#")]
-    consts, base = _draw(G, rng, samples, names, top, constants)
-    ops = column_ops(G)
-    base = list(map(ops.column, base))
-    ysubbed = list(base)
-    for xi, yi in zip(xbar, ybar):
-        ysubbed[xi] = base[yi]
-    program = compile_words([v])
-    (lhs,), (at_x,), (at_y,) = (
-        run_program(program, ops, columns, samples, consts)
-        for columns in (_shifted(ops, base, xbar, ybar), base, ysubbed))
-    (rest,) = run_program(compile_words(phi, product=True), ops, base,
-                          samples, consts)
-    rhs = ops.mul(ops.mul(at_x, at_y), rest)
-    return lhs == rhs
+    ysub = _Expander(dict(zip(xbar, ybar)), DEFAULT_BUDGET).ysub(v)
+    return product_identity_holds(G, [v], xbar, ybar, phi, [v, ysub],
+                                  samples, seed, constants)
 
 
 def product_identity_holds(G, factors, xbar, ybar, phi, prefix, samples=50,
                            seed=0, constants=None):
+    """Spot-check prod(factors) at y*x against prod(prefix + phi) at x."""
     factors = [expand_engel(w) for w in factors]
     rng = random.Random(seed)
-    all_vars = set()
-    for w in factors:
-        all_vars |= word_variables(w)
-    top = max([i for i in (*xbar, *ybar, *all_vars)], default=-1)
+    bits = _mask((*xbar, *ybar))
     names = set()
     for w in factors:
+        bits |= w.var_bits
         names |= {c for c in word_constants(w) if not c.startswith("#")}
-    consts, base = _draw(G, rng, samples, sorted(names), top, constants)
+    consts, base = _draw(G, rng, samples, sorted(names), bits.bit_length() - 1,
+                         constants)
     ops = column_ops(G)
     base = list(map(ops.column, base))
     (lhs,) = run_program(compile_words(factors, product=True), ops,
                          _shifted(ops, base, xbar, ybar), samples, consts)
-    (head,), (rest,) = (
-        run_program(compile_words(words, product=True), ops, base, samples,
-                    consts) for words in (prefix, phi))
-    return lhs == ops.mul(head, rest)
+    (rhs,) = run_program(compile_words([*prefix, *phi], product=True), ops,
+                         base, samples, consts)
+    return lhs == rhs
 
 
 def enumerate_sweep_shapes():

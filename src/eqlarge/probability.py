@@ -196,9 +196,8 @@ def equation_largeness(G, equation, constants=None, budget=None):
     """Largeness report for the solution set inside the direct power."""
     from .largeness import DEFAULT_BUDGET, largeness_report
 
-    sols = solution_set(G, equation, constants)
-    return largeness_report(power(G, sols.arity), sols.as_subset(),
-                            budget or DEFAULT_BUDGET)
+    X = solution_set(G, equation, constants).as_subset()
+    return largeness_report(X.parent, X, budget or DEFAULT_BUDGET)
 
 
 def fixed_subgroup(G, sigma):

@@ -24,6 +24,7 @@ from functools import cache
 
 from .errors import OrderBound, UnknownCheck, UnknownQuestion
 from .group import (
+    ProductGroup,
     Subset,
     automorphism_group,
     center,
@@ -140,10 +141,10 @@ def _order_counts(G):
             for d in _divisors(G.order)}
 
 
-def _power_large(G, sols, k):
+def _power_large(sols, k):
     """Exact k-largeness of a solution set inside the direct power."""
-    P = power(G, sols.arity)
-    ok, _ = is_k_large(P, Subset(P, sols.bits), k)
+    X = sols.as_subset()
+    ok, _ = is_k_large(X.parent, X, k)
     return ok
 
 
@@ -434,7 +435,7 @@ def check_central_identity(G):
         broken = None       # depends on the word only: g is set to e
         for g in gvals:
             for c, sols in _by_value(G, text, {"g": g}).items():
-                if not _power_large(G, sols, 2):
+                if not _power_large(sols, 2):
                     continue
                 hyp_any = True
                 if broken is None:
@@ -451,9 +452,9 @@ def _first_nontrivial(G, text, elements, nvars):
     g = e is not the identity, as a list; [] when there is none."""
     # every tuple of identities gives the identity, so its bucket is there
     ones = _by_value(G, text, {"g": G.identity})[G.identity].bits
+    encode = ProductGroup((G,) * nvars).encode
     for tup in itertools.product(elements, repeat=nvars):
-        index = sum(z * G.order ** (nvars - 1 - i) for i, z in enumerate(tup))
-        if not ones >> index & 1:
+        if not ones >> encode(tup) & 1:
             return list(tup)
     return []
 
@@ -467,7 +468,7 @@ def check_center_gcd(G):
     for a, b in [(2, 2), (2, 4), (3, 3), (4, 6)]:
         d = math.gcd(a, b)
         for c, sols in _by_value(G, f"x1^{a}*x2^{b}").items():
-            if _power_large(G, sols, 2):
+            if _power_large(sols, 2):
                 hyp_any = True
                 if d % zexp != 0:
                     return _result("center_gcd", G, True, False, None,
@@ -502,7 +503,7 @@ def check_square_eq(G):
         hyp_any = True
         mu = sols.fraction()
         margins.append(Fraction(3, 4) - mu)
-        if mu > Fraction(3, 4) or _power_large(G, sols, 4):
+        if mu > Fraction(3, 4) or _power_large(sols, 4):
             return _result("square_eq", G, True, False, None,
                            {"value": c, "fraction": str(mu)})
     return _result("square_eq", G, hyp_any, True, _min_margin(margins))
@@ -543,8 +544,7 @@ def check_cube_7large_engel(G):
     """If x^3 = e is 7-large, both-sided iterated commutators of length two
     collapse: [[x,y],y] = e everywhere."""
     sols = _cube_solutions(G)
-    ok, _ = is_k_large(G, Subset(G, sols.bits), 7)
-    if not ok:
+    if not _power_large(sols, 7):
         return _result("cube_7large_engel", G, False, True)
     return _result("cube_7large_engel", G, True, is_2_engel(G))
 
@@ -555,8 +555,7 @@ def check_cube_2large_exp3(G):
     if not is_2_engel(G):
         return _result("cube_2large_exp3", G, False, True)
     sols = _cube_solutions(G)
-    ok, _ = is_k_large(G, Subset(G, sols.bits), 2)
-    if not ok:
+    if not _power_large(sols, 2):
         return _result("cube_2large_exp3", G, False, True)
     return _result("cube_2large_exp3", G, True, 3 % exponent(G) == 0)
 
@@ -602,7 +601,7 @@ def check_comm_product(G):
             hyp_any = True
             mu = sols.fraction()
             margins.append(Fraction(1, 2) - mu)
-            if mu > Fraction(1, 2) or _power_large(G, sols, 2):
+            if mu > Fraction(1, 2) or _power_large(sols, 2):
                 return _result("comm_product", G, True, False, None,
                                {"word": text, "constants": gs, "value": c})
     return _result("comm_product", G, hyp_any, True, _min_margin(margins))
@@ -619,7 +618,7 @@ def check_comm_abelian(G):
         hyp_any = True
         mu = sols.fraction()
         margins.append(Fraction(3, 4) - mu)
-        if mu > Fraction(3, 4) or _power_large(G, sols, 4):
+        if mu > Fraction(3, 4) or _power_large(sols, 4):
             return _result("comm_abelian", G, True, False, None,
                            {"value": c, "fraction": str(mu)})
     return _result("comm_abelian", G, hyp_any, True, _min_margin(margins))
@@ -645,7 +644,7 @@ def check_word_comm_abelian(G):
             hyp_any = True
             mu = sols.fraction()
             margins.append(Fraction(3, 4) - mu)
-            if mu > Fraction(3, 4) or _power_large(G, sols, 4):
+            if mu > Fraction(3, 4) or _power_large(sols, 4):
                 return _result("word_comm_abelian", G, True, False, None,
                                {"word": full_text, "value": c})
     return _result("word_comm_abelian", G, hyp_any, True,
@@ -700,8 +699,7 @@ def check_triple_comm(G):
             for c, sols in by_value.items():
                 if side == "middle" and not zen.contains(c):
                     continue
-                ok, _ = is_k_large(G, Subset(G, sols.bits), need)
-                if not ok:
+                if not _power_large(sols, need):
                     continue
                 hyp_any = True
                 # a witness is the least x where the word is not e
@@ -770,7 +768,7 @@ def check_supercomm_const(G):
     for text, consts, nparams, by_value in instances():
         need = max(2 ** (cls - nparams), 1)
         for c, sols in by_value.items():
-            if not _power_large(G, sols, need):
+            if not _power_large(sols, need):
                 continue
             hyp_any = True
             if c != G.identity:
@@ -795,7 +793,7 @@ def check_nilpotent_identity(G):
     hyp_any = False
     for text, consts in family:
         for c, sols in _by_value(G, text, consts).items():
-            if not _power_large(G, sols, need):
+            if not _power_large(sols, need):
                 continue
             hyp_any = True
             if sols.count != G.order ** sols.arity:
@@ -816,8 +814,7 @@ def check_nilpotent_exponent(G):
     hyp_any = False
     for n in range(1, 13):
         for c, sols in _by_value(G, f"x1^{n}").items():
-            ok, _ = is_k_large(G, Subset(G, sols.bits), need)
-            if not ok:
+            if not _power_large(sols, need):
                 continue
             hyp_any = True
             if c != G.identity or n % exp != 0:
@@ -951,11 +948,10 @@ def _search_cube_5large(groups):
     """
     for G in groups:
         sols = _cube_solutions(G)
-        ok, _ = is_k_large(G, Subset(G, sols.bits), 5)
-        if not ok or is_2_engel(G):
+        if not _power_large(sols, 5) or is_2_engel(G):
             continue
         if G.order ** 4 <= 10 ** 6:
-            if not naive_is_k_large(G, Subset(G, sols.bits), 5):
+            if not naive_is_k_large(G, sols.as_subset(), 5):
                 continue
         return {"group": G.label, "question": "cube_5large",
                 "reverified": G.order ** 4 <= 10 ** 6}
@@ -972,10 +968,10 @@ def _search_comm_2large_c(groups):
         for c, sols in _by_value(G, "[x1,x2]").items():
             if c == G.identity:
                 continue
-            if not _power_large(G, sols, 2):
+            if not _power_large(sols, 2):
                 continue
-            P = power(G, 2)
-            if not naive_is_k_large(P, Subset(P, sols.bits), 2):
+            X = sols.as_subset()
+            if not naive_is_k_large(X.parent, X, 2):
                 continue
             return {"group": G.label, "value": c,
                     "question": "comm_2large_c", "reverified": True}

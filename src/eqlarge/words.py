@@ -10,6 +10,13 @@ power when v is an integer literal, ``[u,v]`` is ``u^-1 v^-1 u v``,
 ``[u,v;n]`` iterates ``[...[u,v],v...],v]`` n times, and ``[u,v,w]`` is
 sugar for ``[[u,v],w]``.  ``^`` binds tighter than ``*``.
 
+Every node carries var_bits, set when it is built: bit i is set when
+x(i+1) occurs in it, the OR of its children's bits.  It is no dataclass
+field, so equality, hashing and repr see only the tree; word_variables
+and word_arity read it without a walk.  The parser reads every number
+through group._read_number, so an oversized one is a ParseError, and it
+refuses variables past x1024 (MAX_VARIABLE).
+
 Evaluation does not recurse.  compile_words turns a list of words into a
 straight-line program, one slot per structurally distinct node, and
 run_program runs it over whole columns of assignments, one column per
@@ -36,6 +43,7 @@ from .errors import (
     ParseError,
     UnboundConstant,
 )
+from .group import _read_number
 
 __all__ = [
     "Var",
@@ -67,19 +75,33 @@ __all__ = [
 ]
 
 
+def _join_bits(node):
+    """__post_init__ of the nodes with a left and a right child."""
+    object.__setattr__(node, "var_bits",
+                       node.left.var_bits | node.right.var_bits)
+
+
 @dataclass(frozen=True)
 class Var:
     index: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "var_bits", 1 << self.index)
 
 
 @dataclass(frozen=True)
 class Const:
     name: str
 
+    var_bits = 0
+
 
 @dataclass(frozen=True)
 class Inv:
     body: object
+
+    def __post_init__(self):
+        object.__setattr__(self, "var_bits", self.body.var_bits)
 
 
 @dataclass(frozen=True)
@@ -87,11 +109,16 @@ class Prod:
     left: object
     right: object
 
+    __post_init__ = _join_bits
+
 
 @dataclass(frozen=True)
 class Pow:
     base: object
     exp: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "var_bits", self.base.var_bits)
 
 
 @dataclass(frozen=True)
@@ -99,11 +126,17 @@ class Conj:
     base: object
     by: object
 
+    def __post_init__(self):
+        object.__setattr__(self, "var_bits",
+                           self.base.var_bits | self.by.var_bits)
+
 
 @dataclass(frozen=True)
 class Comm:
     left: object
     right: object
+
+    __post_init__ = _join_bits
 
 
 @dataclass(frozen=True)
@@ -111,6 +144,8 @@ class Engel:
     left: object
     right: object
     n: int
+
+    __post_init__ = _join_bits
 
 
 IDENTITY_WORD = Const("#e")
@@ -157,11 +192,15 @@ def _tokenize(text):
 
 # Deepest word the parser accepts, as the height of the tree once Engel
 # nodes are expanded and as the nesting of brackets.  Evaluation keeps its
-# own stack, but parsing recurses four frames per bracket level, and
-# to_text, word_variables, expand_engel and flatten_product recurse a frame
-# or two per tree level, so an accepted word stays well inside Python's
-# default recursion limit of 1000.
+# own stack and word_variables reads var_bits, but parsing recurses four
+# frames per bracket level, and to_text, word_constants, expand_engel and
+# flatten_product recurse a frame or two per tree level, so an accepted
+# word stays well inside Python's default recursion limit of 1000.
 MAX_WORD_HEIGHT = 128
+
+# Highest variable number the parser accepts; a node keeps its variables
+# as the bits of an int, so x99999999999 would ask for gigabytes.
+MAX_VARIABLE = 1024
 
 
 class _Parser:
@@ -209,7 +248,11 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind == "int":
                 self.take()
-                k = int(val)
+                k = _read_number(val.lstrip("-"))
+                if k is None:
+                    raise ParseError("exponent out of range", position=pos)
+                if val.startswith("-"):
+                    k = -k
                 node = Inv(node) if k == -1 else Pow(node, k)
             else:
                 by, hb = self.atom()
@@ -224,10 +267,10 @@ class _Parser:
         if kind == "name":
             m = re.fullmatch(r"x(\d+)", val)
             if m:
-                idx = int(m.group(1))
-                if idx < 1:
-                    raise ParseError("variables are numbered from x1",
-                                     position=pos)
+                idx = _read_number(m.group(1), MAX_VARIABLE)
+                if not idx:
+                    raise ParseError(f"variables are numbered x1 to "
+                                     f"x{MAX_VARIABLE}", position=pos)
                 return Var(idx - 1), 1
             return Const(val), 1
         if val in ("(", "["):
@@ -250,10 +293,10 @@ class _Parser:
                 parts.append(self.word())
             elif val == ";":
                 kind2, val2, pos2 = self.take()
-                if kind2 != "int" or int(val2) < 1:
-                    raise ParseError("Engel count must be a positive integer",
-                                     position=pos2)
-                engel_n = int(val2)
+                engel_n = _read_number(val2) if val2.isdigit() else None
+                if not engel_n:
+                    raise ParseError("Engel count must be a positive integer"
+                                     " of at most nine digits", position=pos2)
                 self.expect("]")
                 break
             elif val == "]":
@@ -348,21 +391,8 @@ def _conj_arg_text(w):
 
 
 def word_variables(w):
-    if isinstance(w, Var):
-        return {w.index}
-    if isinstance(w, Const):
-        return set()
-    if isinstance(w, Inv):
-        return word_variables(w.body)
-    if isinstance(w, Pow):
-        return word_variables(w.base)
-    if isinstance(w, (Prod, Comm)):
-        return word_variables(w.left) | word_variables(w.right)
-    if isinstance(w, Conj):
-        return word_variables(w.base) | word_variables(w.by)
-    if isinstance(w, Engel):
-        return word_variables(w.left) | word_variables(w.right)
-    raise TypeError(f"not a word node: {w!r}")
+    bits = w.var_bits
+    return {i for i in range(bits.bit_length()) if bits >> i & 1}
 
 
 def word_constants(w):
@@ -384,8 +414,7 @@ def word_constants(w):
 
 
 def word_arity(w):
-    vs = word_variables(w)
-    return max(vs) + 1 if vs else 0
+    return w.var_bits.bit_length()
 
 
 def resolve_constant(G, name, constants=None):
@@ -393,11 +422,11 @@ def resolve_constant(G, name, constants=None):
         return constants[name]
     if name.startswith("#"):
         body = name[1:]
-        if body.isdigit():
-            idx = int(body)
-            if idx >= G.order:
+        if body.isdecimal():
+            idx = _read_number(body, G.order - 1)
+            if idx is None:
                 raise UnboundConstant(
-                    f"literal {name} outside 0..{G.order - 1}")
+                    f"literal {name[:24]} outside 0..{G.order - 1}")
             return idx
         by_name = G.element_by_name(body)
         if by_name is not None:
@@ -811,20 +840,19 @@ def move_constants_right(eq, verify_in=(), samples=16, seed=0):
             raise NotAProductOfSupercommutators(
                 f"factor {to_text(f)} is not a supercommutator")
     rhs_left = []
-    while factors and not word_variables(factors[0]):
+    while factors and not factors[0].var_bits:
         rhs_left.append(Inv(factors.pop(0)))
     changed = True
     while changed:
         changed = False
         for i in range(len(factors) - 1):
-            if not word_variables(factors[i]) and \
-                    word_variables(factors[i + 1]):
+            if not factors[i].var_bits and factors[i + 1].var_bits:
                 t, f = factors[i], factors[i + 1]
                 factors[i:i + 2] = [f, Comm(f, Inv(t)), t]
                 changed = True
                 break
     rhs_right = []
-    while factors and not word_variables(factors[-1]):
+    while factors and not factors[-1].var_bits:
         rhs_right.append(Inv(factors.pop()))
     rhs = eq.rhs
     for t in rhs_right:

@@ -1,5 +1,7 @@
 """The recursive word interpreter the package used before its compiled
-evaluator, kept as a slow, independent oracle for the tests."""
+evaluator, the recursive variable walk it used before every node carried
+its var_bits, and the set-based factor condition of the linearization,
+kept as slow, independent oracles for the tests."""
 
 from eqlarge.errors import ArityMismatch
 from eqlarge.group import ProductGroup
@@ -92,3 +94,33 @@ def buckets_by_value(G, word, constants=None):
         bits, count = out.get(v, (0, 0))
         out[v] = bits | 1 << idx, count + 1
     return dict(sorted(out.items()))
+
+
+def word_variables(w):
+    """The variable indices of a word, by a walk over its tree."""
+    if isinstance(w, Var):
+        return {w.index}
+    if isinstance(w, Const):
+        return set()
+    if isinstance(w, Inv):
+        return word_variables(w.body)
+    if isinstance(w, Pow):
+        return word_variables(w.base)
+    if isinstance(w, (Prod, Comm, Engel)):
+        return word_variables(w.left) | word_variables(w.right)
+    if isinstance(w, Conj):
+        return word_variables(w.base) | word_variables(w.by)
+    raise TypeError(f"not a word node: {w!r}")
+
+
+def factor_condition(w, v, xbar, ybar, zbar=None):
+    """check_factor_condition on the walked variable sets of w and v."""
+    vw, vv = word_variables(w), word_variables(v)
+    zset = vv - set(xbar) if zbar is None else set(zbar)
+    if (vw & zset) != (vv & zset):
+        return False
+    partner = dict(zip(xbar, ybar))
+    for x in vv.intersection(xbar):
+        if x not in vw and partner[x] not in vw:
+            return False
+    return any(x in vw for x in xbar) and any(y in vw for y in ybar)

@@ -9,7 +9,7 @@ import time
 from hypothesis import given, settings, strategies as st
 
 from eqlarge.verifier import CHECKS
-from eqlarge.words import MAX_WORD_HEIGHT
+from eqlarge.words import MAX_VARIABLE, MAX_WORD_HEIGHT
 
 BUDGET_TRAP = {"elements": [2, 3, 8, 12, 14, 15, 18, 19]}
 
@@ -212,6 +212,22 @@ def test_over_deep_words_exit_2():
     for word in (f"[x1,x2;{cap}]", "*".join(["x1"] * (cap + 1)),
                  "(" * (cap + 1) + "x1" + ")" * (cap + 1)):
         assert run_cli("prob", "S3", word + "=#e").returncode == 2
+
+
+def test_oversized_numbers_in_words_exit_2():
+    digits = "9" * 5000
+    for argv in (["prob", "S3", f"x{digits}=#e"],
+                 ["prob", "S3", f"x1^{digits}=#e"],
+                 ["prob", "S3", f"[x1,x2;{digits}]=#e"],
+                 ["prob", "S3", f"x1=#{digits}"],
+                 ["prob", "E2^2", "x1=g", "--const", f"g={digits}"],
+                 ["prob", "S3", "x99999999999=#e"],
+                 ["prob", "S3", f"x{MAX_VARIABLE + 1}=#e"]):
+        p = run_cli(*argv)
+        assert p.returncode == 2, argv[2][:24]
+        assert "Traceback" not in p.stderr
+    p = run_cli("prob", "S3", f"x1*x{MAX_VARIABLE}=x{MAX_VARIABLE}*x1")
+    assert p.returncode == 2 and "enumeration cap" in p.stderr
 
 
 def test_closed_stdout_exits_0():

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import reference_eval as ref
 from eqlarge.catalog import catalog
 from eqlarge.errors import (
     BudgetExceeded,
@@ -8,10 +10,7 @@ from eqlarge.errors import (
     PreconditionViolated,
 )
 from eqlarge.linearize import (
-    DEFAULT_BUDGET,
     LinearizeBudget,
-    _Expander,
-    _prepare,
     check_factor_condition,
     enumerate_sweep_shapes,
     linearization_identity_holds,
@@ -21,6 +20,8 @@ from eqlarge.linearize import (
 )
 from eqlarge.words import (
     Comm,
+    Const,
+    Inv,
     Var,
     evaluate,
     parse_word,
@@ -147,12 +148,54 @@ def test_budget_is_enforced():
                   budget=LinearizeBudget(max_factors=4))
 
 
-def test_recorded_variable_sets_match_the_tree_walk():
+def sweep_factors():
+    """(shape text, v, xbar, ybar, phi) for every sweep shape."""
     for text, v, xbar, ybar in enumerate_sweep_shapes():
-        v, xbar, ybar = _prepare(v, xbar, ybar)
-        exp = _Expander(dict(zip(xbar, ybar)), DEFAULT_BUDGET)
-        phi = exp.expand(v)
-        assert phi == linearize(v, xbar, ybar), text
+        yield text, v, xbar, ybar, linearize(v, xbar, ybar)
+
+
+def test_recorded_variable_sets_match_the_tree_walk():
+    for text, v, xbar, ybar, phi in sweep_factors():
         for w in phi:
-            # recorded as the factor was built, not computed when asked
-            assert exp._vars[id(w)] == word_variables(w), (text, to_text(w))
+            # set as the factor was built, not walked when asked
+            assert word_variables(w) == ref.word_variables(w), \
+                (text, to_text(w))
+            assert w.var_bits == sum(1 << i for i in ref.word_variables(w))
+
+
+def test_factor_condition_matches_the_set_oracle():
+    shapes = list(sweep_factors())
+    outcomes = set()
+    for i, (text, v, xbar, ybar, phi) in enumerate(shapes):
+        # the next shape's designation is the mismatched one
+        _, v2, xbar2, ybar2, _ = shapes[(i + 1) % len(shapes)]
+        for w in phi:
+            for args in ((v, xbar, ybar), (v2, xbar2, ybar2),
+                         (v, ybar, xbar), (v, xbar, ybar, ())):
+                got = check_factor_condition(w, *args)
+                assert got == ref.factor_condition(w, *args), \
+                    (text, to_text(w), args)
+                outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+SUPERCOMMUTATORS = st.recursive(
+    st.sampled_from([Var(0), Var(1), Var(2), Const("g")]),
+    lambda sub: st.one_of(sub.map(Inv),
+                          st.tuples(sub, sub).map(lambda p: Comm(*p))),
+    max_leaves=5)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(SUPERCOMMUTATORS, st.sampled_from([(0,), (1,), (0, 2)]))
+def test_linearized_factors_carry_their_variables(v, xbar):
+    ybar = tuple(3 + k for k in range(len(xbar)))
+    assume(v.var_bits & sum(1 << x for x in xbar))
+    try:
+        phi = linearize(v, xbar, ybar, budget=LinearizeBudget(2000))
+    except BudgetExceeded:
+        assume(False)
+    for w in phi:
+        assert word_variables(w) == ref.word_variables(w), to_text(w)
+        assert check_factor_condition(w, v, xbar, ybar)
+        assert ref.factor_condition(w, v, xbar, ybar)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_eval as ref
 from eqlarge.catalog import catalog
 from eqlarge.errors import (
     ArityMismatch,
@@ -179,6 +180,35 @@ def test_word_bookkeeping():
     assert word_constants(w) == {"g", "h"}
     assert word_arity(w) == 2
     assert flatten_product(w) == [parse_word("[x1,g]"), parse_word("[x2,h]")]
+
+
+WORDS = st.recursive(
+    st.sampled_from([Var(0), Var(1), Var(4), Var(63), Var(64), Const("g"),
+                     Const("#e")]),
+    lambda sub: st.one_of(
+        sub.map(Inv),
+        st.tuples(sub, sub).map(lambda p: Prod(*p)),
+        st.tuples(sub, st.integers(-3, 3)).map(lambda p: Pow(*p)),
+        st.tuples(sub, sub).map(lambda p: Conj(*p)),
+        st.tuples(sub, sub).map(lambda p: Comm(*p)),
+        st.tuples(sub, sub, st.integers(1, 3)).map(lambda p: Engel(*p))),
+    max_leaves=12)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(WORDS)
+def test_variables_match_the_tree_walk(w):
+    for word in (w, expand_engel(w), parse_word(to_text(w))):
+        walked = ref.word_variables(word)
+        assert word_variables(word) == walked
+        assert word_arity(word) == max(walked, default=-1) + 1
+        assert word.var_bits == sum(1 << i for i in walked)
+
+
+def test_variable_bits_stay_out_of_equality():
+    a, b = Comm(Var(0), Const("g")), Comm(Var(0), Const("g"))
+    assert a == b and hash(a) == hash(b) and a.var_bits == 1
+    assert repr(a) == "Comm(left=Var(index=0), right=Const(name='g'))"
 
 
 def test_move_constants_right():
