@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -370,18 +371,18 @@ def _folded_table(factors, order):
 
     With F of order n, row (p, v) holds t * n + F.row(v)[x] for each entry
     t of row p and each x: F.row(v) gathered from the t-th block of n
-    indices.  The entries come from one tuple of indices, so each element
-    is one shared int object; arithmetic would make a new int per entry
-    past 256, several times the size of the table itself.
+    indices.  Rows are packed, as bytes up to order 256 and as 16-bit
+    array('H') above, so an entry costs one or two bytes rather than a
+    pointer, or a pointer and an int object of its own past 256.
     """
-    shared = tuple(range(order))
-    table = ((0,),)
+    pack = bytes if order <= 256 else lambda values: array("H", values)
+    table = (b"\0",)
     for f in factors:
         n = f.order
-        blocks = [shared[t * n:(t + 1) * n] for t in range(len(table))]
+        blocks = [range(t * n, (t + 1) * n) for t in range(len(table))]
         picks = [itemgetter(*f.row(v)) if n > 1 else tuple
                  for v in range(n)]
-        table = tuple(tuple(itertools.chain.from_iterable(
+        table = tuple(pack(itertools.chain.from_iterable(
                           map(pick, map(blocks.__getitem__, row))))
                       for row in table for pick in picks)
     return table

@@ -8,9 +8,10 @@ element, and the cover search is an exact branch and bound that always
 branches on the lowest uncovered element, which keeps results deterministic.
 
 Two translates gY and hY cover G exactly when Y and g^-1*h*Y do, that is
-when Z and g^-1*h*Z are disjoint for the complement Z, which fails exactly
-when g^-1*h lies in the difference set Z*Z^-1.  So k = 2 is decided from
-Z*Z^-1 alone, and the branch and bound serves k >= 3 and least covers.
+when s*Z misses Z for s = g^-1*h and the complement Z.  So k = 2 is decided
+by trying s = 0, 1, 2, ... in index order, each with |Z| lookups along row
+s, and the first s that works is the certificate.  The branch and bound
+serves k >= 3 and least covers.
 
 Decisions are remembered per group, in G._decisions, keyed by the subset's
 bits: the largest k known to admit no cover and the smallest cover found.
@@ -108,8 +109,13 @@ def left_translate(G, X, g):
     return Subset(X.parent, _gathered_mask(G, _membership(X), g))
 
 
+# About this many translators are scored at each step of the greedy cover
+GREEDY_SPAN = 16
+
+
 class _CoverSearch:
-    """Covers of G by left translates g*Y, found by one branch and bound.
+    """Covers of G by left translates g*Y: a capped greedy cover first, then
+    an exact branch and bound when the greedy cover is too large.
 
     Distinct translators can give the same translate when Y is a union of
     right cosets, so the translates through each element are deduplicated
@@ -178,12 +184,25 @@ class _CoverSearch:
         return count
 
     def greedy(self):
+        """A cover, not necessarily least.  Each step scores the translates
+        through the lowest uncovered element e by e*y^-1 for about
+        GREEDY_SPAN y spread evenly over Y, and keeps the most fresh
+        coverage, the least translator breaking ties."""
+        G = self.G
+        tmask = self.translate_mask
+        step = max(1, len(self.ylist) // GREEDY_SPAN)
+        yinvs = [G.inv(y) for y in self.ylist[::step]]
         uncovered = self.full
         chosen = []
         while uncovered:
-            g, m = self.candidates(uncovered)[0]
+            e = (uncovered & -uncovered).bit_length() - 1
+            scored = []
+            for y in yinvs:
+                g = G.mul(e, y)
+                scored.append((-(tmask(g) & uncovered).bit_count(), g))
+            _, g = min(scored)
             chosen.append(g)
-            uncovered &= ~m
+            uncovered &= ~tmask(g)
         return tuple(chosen)
 
     def search(self, k=None):
@@ -244,30 +263,23 @@ def cover_number(G, Y, budget=DEFAULT_BUDGET):
 def _two_cover(G, Y):
     """(e, s) for the least s with Y and s*Y covering G, or None.
 
-    That s is the least element outside Z*Z^-1 for Z = G minus Y.  The
-    difference set is the union of the gathered masks of z*Z^-1 over z in
-    Z, built until it fills the group.
+    Y and s*Y cover G exactly when s*Z misses Z for Z = G minus Y: row s
+    gathered at Z's positions shares no element with Z.
     """
-    full = (1 << G.order) - 1
-    Z = Subset(G, Y.bits ^ full)
-    zmem = _membership(Z)
-    # character i of zinv is the bit of i^-1 in Z: the membership of Z^-1
-    zinv = "".join(itemgetter(*map(G.inv, range(G.order)))(zmem))
-    diff = 0
-    for z in Z.elements():
-        diff |= _gathered_mask(G, zinv, z)
-        if diff == full:
-            return None
-    outside = full ^ diff
-    return G.identity, (outside & -outside).bit_length() - 1
+    Z = Y.complement().indices()
+    zset = set(Z)
+    for s in range(G.order):
+        if zset.isdisjoint(map(G.row(s).__getitem__, Z)):
+            return G.identity, s
+    return None
 
 
 def is_k_generic(G, X, k, budget=DEFAULT_BUDGET):
     """Whether some k left translates of X cover G, with a cover by at
     most k translators as the certificate.
 
-    k = 2 is answered from the difference set of the complement, with the
-    certificate (e, s) for the least such s; k >= 3 by the branch and
+    k = 2 is answered by scanning s for the least s with s*Z missing the
+    complement Z, with the certificate (e, s); k >= 3 by the branch and
     bound, which keeps the first cover met within k.  An answer already
     known for X on G, at this k or by monotonicity from another k, is
     served from G._decisions, so its cover may be one found for a

@@ -14,12 +14,25 @@ from eqlarge.words import MAX_VARIABLE, MAX_WORD_HEIGHT
 BUDGET_TRAP = {"elements": [2, 3, 8, 12, 14, 15, 18, 19]}
 
 
-def run_cli(*args, env_extra=None):
+# the checkout's src/, which pytest's pythonpath setting does not pass on
+# to child processes
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
+def child_env(env_extra=None):
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (SRC, env.get("PYTHONPATH"))))
     if env_extra:
         env.update(env_extra)
+    return env
+
+
+def run_cli(*args, env_extra=None):
     return subprocess.run([sys.executable, "-m", "eqlarge.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True,
+                          env=child_env(env_extra))
 
 
 def test_prob_text():
@@ -246,7 +259,7 @@ cli.main()
     for args in (("solve", "S4xS4xC2", "x1=x1", "--max-solutions", "2000"),
                  ("prob", "S3", "[x1,x2]=#e")):
         p = subprocess.run([sys.executable, "-c", script, *args],
-                           capture_output=True, text=True)
+                           capture_output=True, text=True, env=child_env())
         assert p.returncode == 0, (args, p.stderr)
         assert "Traceback" not in p.stderr
         assert "BrokenPipeError" not in p.stderr

@@ -107,13 +107,14 @@ def test_products_and_powers():
     assert power(G, 2) is power(G, 2)
 
 
-def test_product_tables_hold_one_int_per_element():
-    # orders past 256, where ints are not the interpreter's cached ones
+def test_product_tables_pack_their_rows():
+    # bytes rows up to order 256 (C2xC1xS3xC3xC3, 108), array('H') rows
+    # above (D7xC20, 280; Q8^3, 512)
     for P in (direct_product(catalog("D7"), catalog("C20")),
               catalog("C2xC1xS3xC3xC3"), power(catalog("Q8"), 3)):
-        assert P.table == tuple(ProductGroup.row(P, h)
-                                for h in range(P.order)), P.label
-        assert len({id(v) for row in P.table for v in row}) == P.order
+        for h, row in enumerate(P.table):
+            assert tuple(row) == ProductGroup.row(P, h), (P.label, h)
+            assert memoryview(row).nbytes <= 2 * P.order, P.label
 
 
 def test_mixed_radix_is_leftmost_major():

@@ -1,10 +1,13 @@
+import contextlib
+import io
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqlarge import largeness
+from eqlarge import cli, largeness
 from eqlarge.catalog import catalog, catalog_upto
 from eqlarge.errors import BudgetExceeded, EmptySubset
 from eqlarge.group import (
@@ -20,6 +23,7 @@ from eqlarge.group import (
     subgroup_generated,
 )
 from eqlarge.largeness import (
+    GREEDY_SPAN,
     INFINITE,
     UNBOUNDED,
     CoverCertificate,
@@ -37,6 +41,7 @@ from eqlarge.largeness import (
     naive_is_k_large,
     restrict_largeness,
 )
+from eqlarge.probability import solution_set
 
 C3 = catalog("C3")
 C4 = catalog("C4")
@@ -316,7 +321,22 @@ def covers_by_mul(G, Y, translators):
     return union == (1 << G.order) - 1
 
 
-@given(st.one_of(mid_subsets(LOW_GROUPS), mid_subsets()))
+# 512 elements: a tabled product with array('H') rows
+Q8_CUBED = power(catalog("Q8"), 3)
+
+
+@st.composite
+def sparse_complements(draw):
+    """Y = G minus a random Z of at most half of G, so that 2-covers exist
+    for some draws and not for others."""
+    G = draw(st.sampled_from([power(S3, 2), power(D4, 2), Q8_CUBED]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    Z = rng.sample(range(G.order), draw(st.integers(1, G.order // 2)))
+    return G, Subset.from_indices(G, Z).complement()
+
+
+@given(st.one_of(mid_subsets(LOW_GROUPS), mid_subsets(),
+                 sparse_complements()))
 @settings(max_examples=150, deadline=None)
 def test_two_cover_against_the_search_and_the_definition(case):
     G, Y = case
@@ -328,6 +348,9 @@ def test_two_cover_against_the_search_and_the_definition(case):
         assert two[0] == G.identity
         assert covers_by_mul(G, Y, two)
         assert covers_by_mul(G, Y, dfs)
+        # every smaller s puts some s*z in Z, outside both Y and s*Y
+        Z = Y.complement().indices()
+        assert all(any(G.mul(s, z) in Z for z in Z) for s in range(two[1]))
     generic, cert = is_k_generic(G, Y, 2)
     assert generic == (two is not None)
     if generic:
@@ -343,6 +366,89 @@ def test_two_cover_names_the_least_translator():
         True, CoverCertificate((0, 2), True))
     assert _two_cover(C4, subset(C4, [0, 1, 2])) == (0, 1)
     assert _two_cover(C4, subset(C4, [0])) is None
+
+
+# groups of 64 or more elements, so half of G is a subset the greedy
+# cover scores only part of
+CAPPED_GROUPS = [power(D4, 2), power(catalog("Q8"), 2), power(C4, 3)]
+
+
+@given(mid_subsets(CAPPED_GROUPS + [Q8_CUBED]))
+@settings(max_examples=40, deadline=None)
+def test_capped_greedy_returns_covers(case):
+    G, Y = case
+    search = _CoverSearch(G, Y, SearchBudget())
+    sel = search.greedy()
+    assert covers_by_mul(G, Y, sel)
+    # each step builds at most one mask per scored translator, and the
+    # stride len(Y) // GREEDY_SPAN keeps those under 2 * GREEDY_SPAN
+    assert len(search.mask_cache) < len(sel) * 2 * GREEDY_SPAN
+
+
+@given(mid_subsets(CAPPED_GROUPS), st.integers(2, 3))
+@settings(max_examples=30, deadline=None)
+def test_capped_decisions_match_the_definition(case, k):
+    G, Y = case
+    generic, cert = is_k_generic(G, Y, k)
+    assert generic == (not naive_is_k_large(G, Y.complement(), k))
+    if generic:
+        assert covers_by_mul(G, Y, cert.translators)
+
+
+def test_a_greedy_miss_is_closed_by_the_search():
+    # 38 of D4^2's 64 elements: the greedy scores every second translator
+    # through each element and needs 4 translates, where 3 suffice
+    G = power(D4, 2)
+    Y = Subset(G, 6151843474569792759)
+    search = _CoverSearch(G, Y, SearchBudget())
+    assert len(search.greedy()) == 4
+    sel = search.search(3)
+    assert search.nodes > 0
+    assert len(sel) == 3 and covers_by_mul(G, Y, sel)
+    assert is_k_generic(G, Y, 3) == (True, CoverCertificate(sel, True))
+    assert not naive_is_k_large(G, Y.complement(), 3)
+    assert cover_number(G, Y)[0] == 3
+
+
+# cheap equations for every group of catalog<=16, and the commutation
+# equations on the groups of order 8 or less: on A4 their least cover
+# takes 176,381 search nodes
+CERTIFICATE_QUERIES = [
+    (G.label, eq)
+    for G in catalog_upto(16)
+    for eq in ["x1^2=#e", "x1^3=x1", "x1*x2=#e", "x1^2*x2=x2*x1^2"]
+    + (["x1*x2=x2*x1", "[x1,x2]=#e"] if G.order <= 8 else [])]
+
+
+def cli_json(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert cli._main([*argv, "--format", "json"]) == 0
+    return json.loads(out.getvalue())
+
+
+def test_printed_certificates_cover():
+    for label, eq in CERTIFICATE_QUERIES:
+        X = solution_set(catalog(label), eq).as_subset()
+        P = X.parent
+        rep = cli_json("largeness", label, eq)
+        gen, lar = rep["genericity_certificate"], rep["largeness_certificate"]
+        if X.size == 0:
+            assert gen is None
+        else:
+            assert len(gen["translators"]) == rep["genericity_number"]
+            assert covers_by_mul(P, X, gen["translators"]), (label, eq)
+        if X.size == P.order:
+            assert lar is None
+        else:
+            assert len(lar["translators"]) == rep["largeness_number"] + 1
+            assert covers_by_mul(P, X.complement(), lar["translators"]), \
+                (label, eq)
+        if X.size:
+            cov = cli_json("cover", label, "--subset", "solutions:" + eq)
+            assert cov["cover_number"] == rep["genericity_number"]
+            assert covers_by_mul(P, X, cov["translators"]), (label, eq)
 
 
 def test_small_k_never_reaches_the_search(monkeypatch):
