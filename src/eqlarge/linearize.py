@@ -320,7 +320,12 @@ def linearization_identity_holds(G, v, xbar, ybar, phi, samples=100, seed=0,
 
 def product_identity_holds(G, factors, xbar, ybar, phi, prefix, samples=50,
                            seed=0, constants=None):
-    """Spot-check prod(factors) at y*x against prod(prefix + phi) at x."""
+    """Spot-check prod(factors) at y*x against prod(prefix + phi) at x.
+
+    prod(prefix) and prod(phi) run as two programs whose columns are then
+    multiplied, so phi's program is keyed by the caller's list alone and
+    compile_words serves it again when the same phi is checked in another
+    group."""
     factors = [expand_engel(w) for w in factors]
     rng = random.Random(seed)
     bits = _mask((*xbar, *ybar))
@@ -334,9 +339,11 @@ def product_identity_holds(G, factors, xbar, ybar, phi, prefix, samples=50,
     base = list(map(ops.column, base))
     (lhs,) = run_program(compile_words(factors, product=True), ops,
                          _shifted(ops, base, xbar, ybar), samples, consts)
-    (rhs,) = run_program(compile_words([*prefix, *phi], product=True), ops,
-                         base, samples, consts)
-    return lhs == rhs
+    (head,) = run_program(compile_words(prefix, product=True), ops, base,
+                          samples, consts)
+    (tail,) = run_program(compile_words(phi, product=True), ops, base,
+                          samples, consts)
+    return lhs == ops.mul(head, tail)
 
 
 def enumerate_sweep_shapes():

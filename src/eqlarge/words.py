@@ -28,6 +28,11 @@ on the group in G._packed.  A column is a list otherwise: a larger
 table-backed group gathers each product through its table rows, a
 componentwise product maps its own mul.  evaluate and evaluate_product
 run the same program on a single row.
+
+compile_words keeps its last COMPILE_CACHE_SIZE programs with their
+roots, least recently used evicted first, and serves one again when it is
+asked for the same root objects (identity, not equality) with the same
+product flag: a factor list checked in several groups compiles once.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from __future__ import annotations
 import re
 from array import array
 from dataclasses import dataclass
-from operator import getitem
+from operator import getitem, is_
 
 from .errors import (
     ArityMismatch,
@@ -149,6 +154,9 @@ class Engel:
 
 
 IDENTITY_WORD = Const("#e")
+
+# Nodes that print as atoms: no parentheses as an operand of ^
+_ATOMS = frozenset((Var, Const, Comm, Engel))
 
 
 @dataclass(frozen=True)
@@ -349,45 +357,36 @@ def parse_equation(text):
 
 def _atom_text(w):
     s = to_text(w)
-    if isinstance(w, (Var, Const)):
-        return s
-    if isinstance(w, (Comm, Engel)):
-        return s
-    return "(" + s + ")"
+    return s if type(w) in _ATOMS else "(" + s + ")"
 
 
 def to_text(w):
     """Canonical print; parsing the result rebuilds the same tree for any
-    tree the parser can produce."""
-    if isinstance(w, Var):
-        return f"x{w.index + 1}"
-    if isinstance(w, Const):
-        return w.name
-    if isinstance(w, Inv):
-        return _atom_text(w.body) + "^-1"
-    if isinstance(w, Pow):
-        return _atom_text(w.base) + f"^{w.exp}"
-    if isinstance(w, Conj):
-        return _atom_text(w.base) + "^" + _conj_arg_text(w.by)
-    if isinstance(w, Comm):
+    tree the parser can produce.  Commutators come first, the most common
+    node of a linearized factor."""
+    t = type(w)
+    if t is Comm:
         return f"[{to_text(w.left)},{to_text(w.right)}]"
-    if isinstance(w, Engel):
-        return f"[{to_text(w.left)},{to_text(w.right)};{w.n}]"
-    if isinstance(w, Prod):
+    if t is Var:
+        return f"x{w.index + 1}"
+    if t is Const:
+        return w.name
+    if t is Inv:
+        return _atom_text(w.body) + "^-1"
+    if t is Prod:
         left = to_text(w.left)
         right = to_text(w.right)
-        if isinstance(w.right, Prod):
+        if type(w.right) is Prod:
             right = "(" + right + ")"
         return f"{left} * {right}"
+    if t is Pow:
+        return _atom_text(w.base) + f"^{w.exp}"
+    if t is Conj:
+        # the conjugator slot must reparse as an atom, never as an exponent
+        return _atom_text(w.base) + "^" + _atom_text(w.by)
+    if t is Engel:
+        return f"[{to_text(w.left)},{to_text(w.right)};{w.n}]"
     raise TypeError(f"not a word node: {w!r}")
-
-
-def _conj_arg_text(w):
-    # the conjugator slot must reparse as an atom, never as an exponent
-    s = to_text(w)
-    if isinstance(w, (Var, Const, Comm, Engel)):
-        return s
-    return "(" + s + ")"
 
 
 def word_variables(w):
@@ -452,6 +451,12 @@ class Program:
                  "roots")
 
 
+# (product, roots, program) of the programs compile_words keeps, least
+# recently used first
+COMPILE_CACHE_SIZE = 4
+_compiled = []
+
+
 def compile_words(roots, product=False):
     """Compile words into one straight-line program, without recursion.
 
@@ -461,7 +466,27 @@ def compile_words(roots, product=False):
     so a missing variable or constant fails at the load a tree walk would
     reach first.  With product=True the roots are folded into a running
     product as each is finished, and that product is the one root.
+
+    The last COMPILE_CACHE_SIZE programs are kept with their roots, and one
+    is served again for the same product flag and the very same root
+    objects.  Matching by identity, not by id(), cannot be fooled by a
+    freed node's address, and it needs no key of one int per root.
     """
+    roots = tuple(roots)
+    for i, (flag, kept, program) in enumerate(_compiled):
+        if (flag == product and len(kept) == len(roots)
+                and all(map(is_, kept, roots))):
+            _compiled.append(_compiled.pop(i))
+            return program
+    program = _compile(roots, product)
+    _compiled.append((product, roots, program))
+    if len(_compiled) > COMPILE_CACHE_SIZE:
+        del _compiled[0]
+    return program
+
+
+def _compile(roots, product):
+    """compile_words without its cache."""
     ops, left, right = bytearray(), array("i"), array("i")
     variables, names = {}, {}
     done = {}       # id(node) -> slot, for nodes that roots keeps alive
@@ -495,7 +520,6 @@ def compile_words(roots, product=False):
                 return acc
             a = emit(_MUL, a, a)
 
-    roots = list(roots)
     expansions = []     # Engel expansions, alive while their ids are keys
     out, acc = [], None
     for root in roots:
@@ -772,23 +796,29 @@ def evaluate_product(G, factors, assignment, constants=None):
 
 
 def expand_engel(w):
-    """Rewrite every Engel node into nested commutators."""
-    if isinstance(w, (Var, Const)):
+    """Rewrite every Engel node into nested commutators.  A subtree with
+    no Engel node comes back as the same object, so an Engel-free word is
+    returned unchanged."""
+    t = type(w)
+    if t is Var or t is Const:
         return w
-    if isinstance(w, Inv):
-        return Inv(expand_engel(w.body))
-    if isinstance(w, Prod):
-        return Prod(expand_engel(w.left), expand_engel(w.right))
-    if isinstance(w, Pow):
-        return Pow(expand_engel(w.base), w.exp)
-    if isinstance(w, Conj):
-        return Conj(expand_engel(w.base), expand_engel(w.by))
-    if isinstance(w, Comm):
-        return Comm(expand_engel(w.left), expand_engel(w.right))
-    if isinstance(w, Engel):
-        node = Comm(expand_engel(w.left), expand_engel(w.right))
+    if t is Inv:
+        body = expand_engel(w.body)
+        return w if body is w.body else Inv(body)
+    if t is Pow:
+        base = expand_engel(w.base)
+        return w if base is w.base else Pow(base, w.exp)
+    if t is Conj:
+        base, by = expand_engel(w.base), expand_engel(w.by)
+        return w if base is w.base and by is w.by else Conj(base, by)
+    if t is Prod or t is Comm:
+        left, right = expand_engel(w.left), expand_engel(w.right)
+        return w if left is w.left and right is w.right else t(left, right)
+    if t is Engel:
+        right = expand_engel(w.right)
+        node = Comm(expand_engel(w.left), right)
         for _ in range(w.n - 1):
-            node = Comm(node, expand_engel(w.right))
+            node = Comm(node, right)
         return node
     raise TypeError(f"not a word node: {w!r}")
 

@@ -1,7 +1,8 @@
 """The recursive word interpreter the package used before its compiled
 evaluator, the recursive variable walk it used before every node carried
-its var_bits, and the set-based factor condition of the linearization,
-kept as slow, independent oracles for the tests."""
+its var_bits, the set-based factor condition of the linearization, and
+the isinstance printer to_text used before it dispatched on exact node
+types, kept as slow, independent oracles for the tests."""
 
 from eqlarge.errors import ArityMismatch
 from eqlarge.group import ProductGroup
@@ -124,3 +125,45 @@ def factor_condition(w, v, xbar, ybar, zbar=None):
         if x not in vw and partner[x] not in vw:
             return False
     return any(x in vw for x in xbar) and any(y in vw for y in ybar)
+
+
+def _atom_text(w):
+    s = to_text(w)
+    if isinstance(w, (Var, Const)):
+        return s
+    if isinstance(w, (Comm, Engel)):
+        return s
+    return "(" + s + ")"
+
+
+def to_text(w):
+    """Canonical print, by a chain of isinstance tests."""
+    if isinstance(w, Var):
+        return f"x{w.index + 1}"
+    if isinstance(w, Const):
+        return w.name
+    if isinstance(w, Inv):
+        return _atom_text(w.body) + "^-1"
+    if isinstance(w, Pow):
+        return _atom_text(w.base) + f"^{w.exp}"
+    if isinstance(w, Conj):
+        return _atom_text(w.base) + "^" + _conj_arg_text(w.by)
+    if isinstance(w, Comm):
+        return f"[{to_text(w.left)},{to_text(w.right)}]"
+    if isinstance(w, Engel):
+        return f"[{to_text(w.left)},{to_text(w.right)};{w.n}]"
+    if isinstance(w, Prod):
+        left = to_text(w.left)
+        right = to_text(w.right)
+        if isinstance(w.right, Prod):
+            right = "(" + right + ")"
+        return f"{left} * {right}"
+    raise TypeError(f"not a word node: {w!r}")
+
+
+def _conj_arg_text(w):
+    # the conjugator slot must reparse as an atom, never as an exponent
+    s = to_text(w)
+    if isinstance(w, (Var, Const, Comm, Engel)):
+        return s
+    return "(" + s + ")"

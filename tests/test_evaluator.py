@@ -8,6 +8,7 @@ table.  Values, bits, counts and the error raised must all agree.  The
 enumeration with constants ranging over the group is held to the same
 buckets as binding each tuple of constants, and as a plain element loop.
 """
+import gc
 import itertools
 import random
 
@@ -28,7 +29,9 @@ from eqlarge.probability import (
     solution_set,
     solution_sets_by_value,
 )
+from eqlarge import words as words_module
 from eqlarge.words import (
+    COMPILE_CACHE_SIZE,
     Comm,
     Conj,
     Const,
@@ -231,3 +234,51 @@ def test_ranged_slices_match_bound_constants(text):
                 (G.label, consts)
             assert got == loop_buckets(G, fn, consts, arity), \
                 (G.label, consts)
+
+
+def random_word(rng, depth):
+    """A word in x1, x2 and g over products, inverses, powers and
+    commutators, built afresh on each call."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice((Var(0), Var(1), Const("g")))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Inv(random_word(rng, depth - 1))
+    if kind == 1:
+        return Pow(random_word(rng, depth - 1), rng.randint(-3, 3))
+    node = Prod if kind == 2 else Comm
+    return node(random_word(rng, depth - 1), random_word(rng, depth - 1))
+
+
+def test_the_compile_cache_never_serves_a_freed_word():
+    # words die between iterations, so their addresses come back for the
+    # next ones; a cache that matched roots by id() would serve stale programs
+    G, rng = catalog("S4"), random.Random(7)
+    consts = {"g": 5}
+    for _ in range(300):
+        w, u = random_word(rng, 4), random_word(rng, 3)
+        asg = (rng.randrange(G.order), rng.randrange(G.order))
+        assert evaluate(G, w, asg, consts) == \
+            ref.evaluate(G, w, asg, consts)
+        assert evaluate_product(G, [u, w], asg, consts) == \
+            ref.evaluate_product(G, [u, w], asg, consts)
+        del w, u
+        gc.collect()
+
+
+def test_the_compile_cache_is_bounded_and_keeps_the_recent(compiles):
+    rng = random.Random(3)
+    hot = random_word(rng, 3)
+    kept = [random_word(rng, 3) for _ in range(3 * COMPILE_CACHE_SIZE)]
+    for w in kept:
+        assert compile_words([w]) is compile_words([w])
+        compile_words([hot])
+        assert len(words_module._compiled) <= COMPILE_CACHE_SIZE
+    # hot, used after every other word, was compiled once
+    assert len(compiles) == len(kept) + 1
+    assert len(words_module._compiled) == COMPILE_CACHE_SIZE
+    compile_words([kept[0]])
+    assert len(compiles) == len(kept) + 2
+    # the same roots with and without product are two programs
+    assert len(compile_words(kept[:2]).roots) == 2
+    assert len(compile_words(kept[:2], product=True).roots) == 1

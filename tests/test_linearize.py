@@ -1,3 +1,6 @@
+import hashlib
+import operator
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -32,6 +35,7 @@ from eqlarge.words import (
 S3 = catalog("S3")
 D4 = catalog("D4")
 H3 = catalog("H3")
+SWEEP_GROUPS = (S3, D4, catalog("Q8"), H3)
 
 
 def test_single_variable_base_case():
@@ -103,6 +107,34 @@ def test_sweep_shapes_split_correctly_in_s3():
                 f"bad factor {to_text(f)} for {text}"
         assert linearization_identity_holds(S3, word, xbar, ybar, phi,
                                             samples=4, seed=11), text
+
+
+def test_sweep_factors_print_the_same_bytes():
+    digest = hashlib.sha256()
+    for text, w, xbar, ybar in enumerate_sweep_shapes():
+        phi = linearize(w, xbar, ybar)
+        digest.update((text + "\n" + "\n".join(map(to_text, phi))
+                       + "\n").encode())
+    assert digest.hexdigest() == \
+        "8e027a23c850ea9c18169e5e2f15f73d8892f8e0dfaf36c2230d267c61f4ab02"
+
+
+def times_compiled(compiled, words):
+    """How often roots that are exactly these word objects were compiled."""
+    return sum(len(r) == len(words) and all(map(operator.is_, r, words))
+               for r in compiled)
+
+
+def test_each_shape_compiles_phi_and_v_once_for_all_groups(compiles):
+    shapes = enumerate_sweep_shapes()
+    for text, v, xbar, ybar in shapes[::12] + shapes[-2:]:
+        phi = linearize(v, xbar, ybar)
+        assert phi, text
+        for G in SWEEP_GROUPS:
+            assert linearization_identity_holds(G, v, xbar, ybar, phi,
+                                                samples=8), (text, G.label)
+        assert times_compiled(compiles, phi) == 1, text
+        assert times_compiled(compiles, [v]) == 1, text
 
 
 def test_product_split():

@@ -135,6 +135,13 @@ def test_engel_unfolds_recursively(u, v, n, seed):
             == evaluate(S3, Comm(u, v), asg, CONSTS))
 
 
+@given(words(3))
+def test_engel_free_words_expand_to_themselves(w):
+    # an expanded word holds no Engel node, whatever w held
+    expanded = expand_engel(w)
+    assert expand_engel(expanded) is expanded
+
+
 def test_self_commutator_is_identity():
     for x in range(S3.order):
         assert evaluate(S3, parse_word("[x1,x1]"), (x,)) == S3.identity
@@ -203,6 +210,13 @@ def test_variables_match_the_tree_walk(w):
         assert word_variables(word) == walked
         assert word_arity(word) == max(walked, default=-1) + 1
         assert word.var_bits == sum(1 << i for i in walked)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(WORDS)
+def test_text_matches_the_isinstance_printer(w):
+    for word in (w, expand_engel(w)):
+        assert to_text(word) == ref.to_text(word)
 
 
 def test_variable_bits_stay_out_of_equality():
