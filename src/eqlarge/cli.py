@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from itertools import islice
 
 from . import verifier
 from .catalog import catalog, catalog_upto, parse_group_list
@@ -21,7 +22,6 @@ from .errors import (
     IndexBound,
     OrderBound,
     ParseError,
-    UnboundConstant,
     UnknownCheck,
 )
 from .group import (
@@ -52,7 +52,7 @@ from .probability import (
     probability,
     solution_set,
 )
-from .words import parse_equation
+from .words import parse_equation, resolve_constant
 
 __all__ = ["main"]
 
@@ -89,23 +89,13 @@ def _invariant_json(v):
 
 
 def _parse_consts(G, pairs):
+    """NAME=VALUE bindings, each value read as the literal #VALUE."""
     out = {}
     for item in pairs or []:
         name, sep, val = item.partition("=")
         if not sep or not name:
             raise ParseError(f"--const needs NAME=VALUE, got {item!r}")
-        if val.startswith("#"):
-            val = val[1:]
-        try:
-            idx = int(val)
-        except ValueError:
-            idx = G.element_by_name(val)
-            if idx is None:
-                raise UnboundConstant(
-                    f"no element named {val[:24]!r} in {G.label}") from None
-        if not 0 <= idx < G.order:
-            raise UnboundConstant(f"element {idx} outside 0..{G.order - 1}")
-        out[name] = idx
+        out[name] = resolve_constant(G, "#" + val.removeprefix("#"))
     return out
 
 
@@ -138,6 +128,9 @@ def _cmd_info(args):
 
 
 def _cmd_solve(args):
+    if args.max_solutions < 0:
+        raise ParseError(f"--max-solutions must be at least 0, got "
+                         f"{args.max_solutions}")
     G = catalog(args.group)
     consts = _parse_consts(G, args.const)
     eq = parse_equation(args.equation)
@@ -145,13 +138,11 @@ def _cmd_solve(args):
     total = G.order ** sols.arity
     shown = []
     P = ProductGroup((G,) * sols.arity)
-    for idx in sols.indices():
+    for idx in islice(sols.indices(), args.max_solutions):
         # a variable-free equation's one solution, index 0, prints as
         # G.name(0)
         shown.append([G.name(v) for v in P.decode(idx)] if sols.arity
                      else [G.name(idx)])
-        if len(shown) >= args.max_solutions:
-            break
     payload = {
         "group": G.label,
         "equation": args.equation,
@@ -283,8 +274,10 @@ def _cmd_cover(args):
 def _cmd_verify(args):
     groups = parse_group_list(args.groups)
     check_ids = None
-    if args.checks:
+    if args.checks is not None:
         check_ids = [c for c in map(str.strip, args.checks.split(",")) if c]
+        if not check_ids:
+            raise UnknownCheck(f"--checks {args.checks!r} names no check")
         for cid in check_ids:
             if cid not in verifier.CHECKS:
                 raise UnknownCheck(f"no check named {cid!r}")
@@ -375,8 +368,9 @@ def _build_parser():
                         default="text")
         if const:
             sp.add_argument("--const", action="append", metavar="NAME=VAL",
-                            help="bind a symbolic constant to an element "
-                                 "index or name; repeatable")
+                            help="bind a symbolic constant to an element, "
+                                 "VAL read as the literal #VAL (an index or "
+                                 "a name); repeatable")
         if budget:
             sp.add_argument("--budget-nodes", type=_node_cap,
                             default=_default_nodes(),

@@ -280,52 +280,23 @@ def linearize_product(factors, xbar, ybar, n=None, budget=DEFAULT_BUDGET):
     return phi, prefix
 
 
-def _draw(G, rng, samples, names, top, constants):
-    """Every sample at once, in the order a sample-by-sample check draws
-    them: per sample, one value per constant name (drawn even when the
-    name is bound, as setdefault would), then x1..x{top+1}.  Returns the
-    constants, each unbound name as a column, and the variable columns."""
-    consts = dict(constants or {})
-    drawn = {name: [] for name in names if name not in consts}
-    columns = [[] for _ in range(top + 1)]
-    for _ in range(samples):
-        for name in names:
-            value = rng.randrange(G.order)
-            if name in drawn:
-                drawn[name].append(value)
-        for column in columns:
-            column.append(rng.randrange(G.order))
-    consts.update(drawn)
-    return consts, columns
-
-
-def _shifted(ops, columns, xbar, ybar):
-    """The columns, of the column type of ops, with each designated x
-    replaced by y*x."""
-    out = list(columns)
-    for xi, yi in zip(xbar, ybar):
-        out[xi] = ops.mul(columns[yi], columns[xi])
-    return out
-
-
 def linearization_identity_holds(G, v, xbar, ybar, phi, samples=100, seed=0,
                                  constants=None):
-    """Spot-check the splitting identity by evaluation: the product check
-    of the one factor v, whose prefix is v and its y-substitute."""
-    v = expand_engel(v)
-    ysub = _Expander(dict(zip(xbar, ybar)), DEFAULT_BUDGET).ysub(v)
-    return product_identity_holds(G, [v], xbar, ybar, phi, [v, ysub],
-                                  samples, seed, constants)
+    """Spot-check the splitting identity of the one factor v by evaluation;
+    v and the designation are validated as linearize does."""
+    v, xbar, ybar = _prepare(v, xbar, ybar)
+    return product_identity_holds(G, [v], xbar, ybar, phi, samples, seed,
+                                  constants)
 
 
-def product_identity_holds(G, factors, xbar, ybar, phi, prefix, samples=50,
-                           seed=0, constants=None):
-    """Spot-check prod(factors) at y*x against prod(prefix + phi) at x.
+def product_identity_holds(G, factors, xbar, ybar, phi, samples=50, seed=0,
+                           constants=None):
+    """Spot-check F(..., y_i*x_i, ...) = F(x) * F(y) * prod(phi)(x), with
+    F = prod(factors) and F(y) the value with y_i in place of each x_i,
+    over random columns of assignments and unbound constants.
 
-    prod(prefix) and prod(phi) run as two programs whose columns are then
-    multiplied, so phi's program is keyed by the caller's list alone and
-    compile_words serves it again when the same phi is checked in another
-    group."""
+    F and prod(phi) compile once each, so compile_words serves both again
+    when the same words are checked in another group."""
     factors = [expand_engel(w) for w in factors]
     rng = random.Random(seed)
     bits = _mask((*xbar, *ybar))
@@ -333,17 +304,22 @@ def product_identity_holds(G, factors, xbar, ybar, phi, prefix, samples=50,
     for w in factors:
         bits |= w.var_bits
         names |= {c for c in word_constants(w) if not c.startswith("#")}
-    consts, base = _draw(G, rng, samples, sorted(names), bits.bit_length() - 1,
-                         constants)
+    consts = dict(constants or {})
+    for name in sorted(names - consts.keys()):
+        consts[name] = rng.choices(range(G.order), k=samples)
     ops = column_ops(G)
-    base = list(map(ops.column, base))
-    (lhs,) = run_program(compile_words(factors, product=True), ops,
-                         _shifted(ops, base, xbar, ybar), samples, consts)
-    (head,) = run_program(compile_words(prefix, product=True), ops, base,
-                          samples, consts)
-    (tail,) = run_program(compile_words(phi, product=True), ops, base,
-                          samples, consts)
-    return lhs == ops.mul(head, tail)
+    x = [ops.column(rng.choices(range(G.order), k=samples))
+         for _ in range(bits.bit_length())]
+    at_y, at_yx = list(x), list(x)
+    for xi, yi in zip(xbar, ybar):
+        at_y[xi] = x[yi]
+        at_yx[xi] = ops.mul(x[yi], x[xi])
+    F = compile_words(factors, product=True)
+    (fx,), (fy,), (fyx,) = (run_program(F, ops, columns, samples, consts)
+                            for columns in (x, at_y, at_yx))
+    (tail,) = run_program(compile_words(phi, product=True), ops, x, samples,
+                          consts)
+    return fyx == ops.mul(ops.mul(fx, fy), tail)
 
 
 def enumerate_sweep_shapes():

@@ -51,6 +51,18 @@ def test_prob_with_constant():
         "equation": "[x1,x2]=c", "group": "D4", "probability": "3/8"}
 
 
+def test_const_values_read_as_literals():
+    # each value works as --const exactly as it does as #VALUE in the word
+    p = run_cli("prob", "E2^2", "[x1,g]=#e", "--const", "g=#e")
+    assert p.returncode == 0
+    assert p.stdout.strip() == "1/1 (~1)"
+    p = run_cli("solve", "Q8", "x1=g", "--const", "g=-1")
+    assert p.returncode == 0
+    assert p.stdout.splitlines()[-1].strip() == "-1"
+    assert p.stdout.splitlines()[-1] == run_cli(
+        "solve", "Q8", "x1=#-1").stdout.splitlines()[-1]
+
+
 def test_cover_text():
     p = run_cli("cover", "C4", "--subset", '{"elements": [0, 1]}')
     assert p.returncode == 0
@@ -65,6 +77,17 @@ def test_solve_lists_solutions():
     assert "solutions: 2 of 4" in lines
     assert "fraction: 1/2 (~0.5)" in lines
     assert [ln.strip() for ln in lines[-2:]] == ["0", "2"]
+
+
+def test_solve_max_solutions_bounds_the_list():
+    p = run_cli("solve", "C4", "x1^2=#e", "--max-solutions", "0",
+                "--format", "json")
+    assert p.returncode == 0
+    doc = json.loads(p.stdout)
+    assert doc["solutions"] == [] and doc["truncated"] is True
+    p = run_cli("solve", "C4", "x1^2=#e", "--max-solutions", "-1")
+    assert p.returncode == 2
+    assert "--max-solutions" in p.stderr and not p.stdout
 
 
 def test_solve_names_componentwise_product_elements():
@@ -142,6 +165,11 @@ def test_verify_checks_flag():
     assert p.returncode == 0
     rows = p.stdout.splitlines()[1:]
     assert [r.split(",")[0] for r in rows] == ["erdos_turan", "frobenius"]
+    # a --checks value that names no check runs nothing and passes nothing
+    for value in (",", " ", ""):
+        p = run_cli("verify", "--checks", value, "--groups", "C4")
+        assert p.returncode == 2, repr(value)
+        assert "names no check" in p.stderr and not p.stdout
 
 
 def test_search_no_witness():
