@@ -4,10 +4,10 @@ A group is backed by an explicit Cayley table or is a direct product of
 factor groups.  ProductGroup owns the package's one tuple<->index codec
 for products and powers (leftmost factor most significant).  A product's
 rows (row(h): h*z for every z) are folded from the factor rows;
-direct_product and power keep them as a table up to 1024 elements and
-multiply componentwise above that.  All derived machinery
-(centralizers, central series, quotients, automorphisms) lives here as
-module-level functions.
+direct_product and power fold each row on first use and keep it up to
+1024 elements, and multiply componentwise above that.  All derived
+machinery (centralizers, central series, quotients, automorphisms) lives
+here as module-level functions.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import itertools
 import math
 from array import array
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import partial
 
 from .errors import (
     NotAGroup,
@@ -259,8 +259,8 @@ class ProductGroup(Group):
     encode, decode and tuples are the package's one tuple<->index codec,
     and an element is named "(a,b,...)" from its components' names.
     A ProductGroup built directly multiplies componentwise and keeps no
-    table; direct_product and power keep a table up to
-    TABLE_MATERIALIZE_BOUND elements.
+    rows; direct_product and power fold each row on first use and keep it
+    up to TABLE_MATERIALIZE_BOUND elements.
     """
 
     def __init__(self, factors, label=None):
@@ -354,38 +354,40 @@ def _joined_name(parts):
 
 
 class _TabledProduct(TableGroup, ProductGroup):
-    """A product that keeps its table: TableGroup lookups for mul and inv,
-    the ProductGroup codec for tuples, and elements named by their
-    components."""
+    """A product that keeps its rows: each row is folded by ProductGroup.row
+    the first time row(h) or mul(h, z) asks for it and packed, as bytes up
+    to order 256 and as 16-bit array('H') above, so an entry costs one or
+    two bytes rather than a pointer, or a pointer and an int object of its
+    own past 256.  The ProductGroup codec gives tuples, and elements are
+    named by their components."""
 
     def __init__(self, factors, label=None):
         ProductGroup.__init__(self, factors, label)
-        self.table = _folded_table(self.factors, self.order)
-        self.inverses = tuple(row.index(self.identity) for row in self.table)
+        self._rows = [None] * self.order
+        self._pack = bytes if self.order <= 256 else partial(array, "H")
+        # the inverse of (a, b, ...) is (a^-1, b^-1, ...), folded as rows are
+        inverses = (0,)
+        for f in self.factors:
+            n = f.order
+            column = [f.inv(x) for x in range(n)]
+            inverses = tuple(t * n + x for t in inverses for x in column)
+        self.inverses = inverses
         self.names = tuple(map(_joined_name, itertools.product(
             *([f.name(v) for v in range(f.order)] for f in self.factors))))
 
+    def row(self, h):
+        row = self._rows[h]
+        if row is None:
+            row = self._rows[h] = self._pack(ProductGroup.row(self, h))
+        return row
 
-def _folded_table(factors, order):
-    """Every row of the product table, folded one factor table at a time.
+    def mul(self, a, b):
+        return self.row(a)[b]
 
-    With F of order n, row (p, v) holds t * n + F.row(v)[x] for each entry
-    t of row p and each x: F.row(v) gathered from the t-th block of n
-    indices.  Rows are packed, as bytes up to order 256 and as 16-bit
-    array('H') above, so an entry costs one or two bytes rather than a
-    pointer, or a pointer and an int object of its own past 256.
-    """
-    pack = bytes if order <= 256 else lambda values: array("H", values)
-    table = (b"\0",)
-    for f in factors:
-        n = f.order
-        blocks = [range(t * n, (t + 1) * n) for t in range(len(table))]
-        picks = [itemgetter(*f.row(v)) if n > 1 else tuple
-                 for v in range(n)]
-        table = tuple(pack(itertools.chain.from_iterable(
-                          map(pick, map(blocks.__getitem__, row))))
-                      for row in table for pick in picks)
-    return table
+    @property
+    def table(self):
+        """Every row in index order, folding those not asked for yet."""
+        return tuple(map(self.row, range(self.order)))
 
 
 @dataclass(frozen=True)
@@ -540,9 +542,9 @@ def _composition_group(perms, names, label):
 
 
 def _product(factors, label):
-    """The one size rule for built products: a table folded from the
-    factor tables up to TABLE_MATERIALIZE_BOUND elements, componentwise
-    multiplication above it."""
+    """The one size rule for built products: rows folded from the factor
+    rows on first use and kept up to TABLE_MATERIALIZE_BOUND elements,
+    componentwise multiplication above it."""
     if math.prod(f.order for f in factors) <= TABLE_MATERIALIZE_BOUND:
         return _TabledProduct(factors, label)
     return ProductGroup(factors, label)
@@ -856,20 +858,14 @@ def automorphism_group(G):
     for images in itertools.product(*candidate_lists):
         m = [-1] * n
         m[G.identity] = G.identity
-        ok = True
         for y in bfs[1:]:
             m[y] = G.mul(m[parent[y]], images[via[y]])
         if len(set(m)) != n:
             continue
-        for a in range(n):
-            ma = m[a]
-            for b in range(n):
-                if m[G.mul(a, b)] != G.mul(ma, m[b]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        # m(a*g) = m(a)*m(g) for every generator g gives m(a*b) = m(a)*m(b)
+        # by induction on the length of b as a word in the generators
+        if all(m[G.mul(a, g)] == G.mul(m[a], image)
+               for g, image in zip(gens, images) for a in range(n)):
             maps.append(tuple(m))
     return _action_group(maps, f"Aut({G.label})")
 

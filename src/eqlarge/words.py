@@ -48,7 +48,7 @@ from .errors import (
     ParseError,
     UnboundConstant,
 )
-from .group import _read_number
+from .group import TableGroup, _read_number
 
 __all__ = [
     "Var",
@@ -721,7 +721,7 @@ def column_ops(G):
     order at most PACKED_ORDER_BOUND and lists otherwise.  One call makes
     one and shares it among its runs, so a commutator table above order
     16 is built at most once."""
-    if not hasattr(G, "table"):
+    if not isinstance(G, TableGroup):
         return _MappedColumns(G)
     if G.order <= PACKED_ORDER_BOUND:
         return _PackedColumns(G)

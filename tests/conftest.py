@@ -1,6 +1,6 @@
 import pytest
 
-from eqlarge import words
+from eqlarge import group, words
 
 
 @pytest.fixture
@@ -16,3 +16,17 @@ def compiles(monkeypatch):
     monkeypatch.setattr(words, "_compiled", [])
     monkeypatch.setattr(words, "_compile", counted)
     return compiled
+
+
+@pytest.fixture
+def folds(monkeypatch):
+    """The list returned gets (product, h) for every product row that
+    ProductGroup.row folds during the test."""
+    folded, fold = [], group.ProductGroup.row
+
+    def counted(P, h):
+        folded.append((P, h))
+        return fold(P, h)
+
+    monkeypatch.setattr(group.ProductGroup, "row", counted)
+    return folded

@@ -1,11 +1,15 @@
 """The recursive word interpreter the package used before its compiled
 evaluator, the recursive variable walk it used before every node carried
-its var_bits, the set-based factor condition of the linearization, and
-the isinstance printer to_text used before it dispatched on exact node
-types, kept as slow, independent oracles for the tests."""
+its var_bits, the set-based factor condition of the linearization, the
+isinstance printer to_text used before it dispatched on exact node
+types, and the automorphism search that tested every pair (a, b) before
+it tested only generators, kept as slow, independent oracles for the
+tests."""
+
+import itertools
 
 from eqlarge.errors import ArityMismatch
-from eqlarge.group import ProductGroup
+from eqlarge.group import ProductGroup, _greedy_generators
 from eqlarge.words import (
     Comm,
     Conj,
@@ -167,3 +171,33 @@ def _conj_arg_text(w):
     if isinstance(w, (Var, Const, Comm, Engel)):
         return s
     return "(" + s + ")"
+
+
+def automorphism_action(G):
+    """Every automorphism of G as an element tuple, sorted: the maps built
+    along breadth-first words over G's greedy generators, sending each
+    generator to an element of its order, that are bijective and
+    multiplicative on all n^2 pairs (a, b)."""
+    gens = _greedy_generators(G)
+    n = G.order
+    orders = [G.element_order(g) for g in range(n)]
+    parent, via = [-1] * n, [-1] * n
+    bfs = [G.identity]
+    for x in bfs:
+        for gi, g in enumerate(gens):
+            y = G.mul(x, g)
+            if y != G.identity and parent[y] < 0:
+                parent[y], via[y] = x, gi
+                bfs.append(y)
+    maps = set()
+    for images in itertools.product(
+            *([h for h in range(n) if orders[h] == orders[g]] for g in gens)):
+        m = [-1] * n
+        m[G.identity] = G.identity
+        for y in bfs[1:]:
+            m[y] = G.mul(m[parent[y]], images[via[y]])
+        if len(set(m)) == n and all(
+                m[G.mul(a, b)] == G.mul(m[a], m[b])
+                for a in range(n) for b in range(n)):
+            maps.add(tuple(m))
+    return tuple(sorted(maps))

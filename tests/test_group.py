@@ -1,7 +1,10 @@
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqlarge.catalog import catalog, parse_group_list
+import reference_eval as ref
+from eqlarge.catalog import catalog, catalog_upto, parse_group_list
 from eqlarge.errors import NotAGroup, NotASubgroup, NotNormal, OrderBound
 from eqlarge.group import (
     TABLE_MATERIALIZE_BOUND,
@@ -108,13 +111,40 @@ def test_products_and_powers():
 
 
 def test_product_tables_pack_their_rows():
-    # bytes rows up to order 256 (C2xC1xS3xC3xC3, 108), array('H') rows
-    # above (D7xC20, 280; Q8^3, 512)
-    for P in (direct_product(catalog("D7"), catalog("C20")),
-              catalog("C2xC1xS3xC3xC3"), power(catalog("Q8"), 3)):
-        for h, row in enumerate(P.table):
-            assert tuple(row) == ProductGroup.row(P, h), (P.label, h)
-            assert memoryview(row).nbytes <= 2 * P.order, P.label
+    # a product with C1 factors, a nested product, the two ends of the
+    # tabled range, and Aut(D7)xD7, whose 588 elements give array('H')
+    # rows; rows are checked against componentwise products, every row up
+    # to order 256 and every 37th above
+    C2, D7 = catalog("C2"), catalog("D7")
+    for P in (catalog("C2xC1xS3xC3xC3"),
+              direct_product(direct_product(C2, catalog("C3")), catalog("Q8")),
+              power(C2, 10), power(C2, 0),
+              direct_product(automorphism_group(D7)[0], D7)):
+        assert isinstance(P, TableGroup) and isinstance(P, ProductGroup)
+        step = 1 if P.order <= 256 else 37
+        for a in range(0, P.order, step):
+            # mul folds row a on its first call, row(a) returns it
+            assert [P.mul(a, b) for b in range(P.order)] == [
+                ProductGroup.mul(P, a, b) for b in range(P.order)], P.label
+            row = P.row(a)
+            if P.order <= 256:
+                assert type(row) is bytes, P.label
+            else:
+                assert type(row) is array and row.typecode == "H", P.label
+        assert P.inverses == tuple(
+            ProductGroup.inv(P, a) for a in range(P.order)), P.label
+        assert P.names == tuple(
+            ProductGroup.name(P, a) for a in range(P.order)), P.label
+        assert P.table == tuple(map(P.row, range(P.order))), P.label
+
+
+def test_products_fold_rows_on_first_use(folds):
+    D7 = catalog("D7")
+    P = direct_product(automorphism_group(D7)[0], D7)
+    assert P.order == 588 and folds == []
+    assert P.mul(5, 7) == ProductGroup.mul(P, 5, 7)
+    assert P.row(5) is P.row(5)
+    assert folds == [(P, 5)]
 
 
 def test_mixed_radix_is_leftmost_major():
@@ -379,6 +409,20 @@ def test_automorphisms_preserve_the_table():
         for a in range(G.order):
             for b in range(G.order):
                 assert row[G.mul(a, b)] == G.mul(row[a], row[b])
+
+
+def test_automorphisms_match_the_pairwise_search():
+    # every catalog<=24 group within the bounds, and D4xC4, where testing
+    # the first generator alone accepts maps that are no automorphisms
+    checked = 0
+    for G in catalog_upto(24) + [catalog("D4xC4")]:
+        try:
+            _, action = automorphism_group(G)
+        except OrderBound:
+            continue
+        assert action == ref.automorphism_action(G), G.label
+        checked += 1
+    assert checked == 43
 
 
 def test_automorphism_search_fails_fast_past_its_bound():

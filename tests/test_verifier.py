@@ -78,6 +78,15 @@ def test_autocommutativity_margin_on_s3():
     assert r.margin == Fraction(1, 4)
 
 
+def test_autocomm_folds_only_the_rows_it_reads(folds):
+    # Aut(D7)xD7 has 588 elements; the decisions read a few of its rows
+    r = only(run_check("autocomm", [catalog("D7")]))
+    assert r.conclusion_holds
+    products = {P.label: P.order for P, _ in folds}
+    assert products["Aut(D7)xD7"] == 588
+    assert len(folds) == len(set(folds)) < 588
+
+
 def test_comm_abelian_fires_exactly_on_nonabelian_groups():
     groups = catalog_upto(16)
     res = run_check("comm_abelian", groups)
