@@ -44,11 +44,11 @@ from .largeness import (
     UNBOUNDED,
     SearchBudget,
     cover_number,
-    largeness_report,
 )
 from .probability import (
     autocommutativity_degree,
     commuting_probability,
+    equation_largeness,
     probability,
     solution_set,
 )
@@ -207,8 +207,7 @@ def _cmd_largeness(args):
     consts = _parse_consts(G, args.const)
     budget = SearchBudget(node_cap=args.budget_nodes)
     t0 = time.perf_counter()
-    X = solution_set(G, args.equation, consts).as_subset()
-    report = largeness_report(X.parent, X, budget)
+    report = equation_largeness(G, args.equation, consts, budget)
     print(f"elapsed: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     payload = {
         "group": G.label,
@@ -326,7 +325,6 @@ def _cmd_verify(args):
 
 def _cmd_search(args):
     groups = parse_group_list(args.groups)
-    verifier.set_seed(args.seed)
     witness = verifier.run_search(args.question, groups)
     if witness is None:
         _emit({"question": args.question, "witness": None}, args.format,
@@ -440,7 +438,6 @@ def _build_parser():
     sp = sub.add_parser("search", help="hunt for open-question witnesses")
     sp.add_argument("question", help=", ".join(sorted(verifier.QUESTIONS)))
     sp.add_argument("--groups", default="catalog<=24")
-    sp.add_argument("--seed", type=int, default=0)
     common(sp)
     sp.set_defaults(fn=_cmd_search)
 

@@ -7,10 +7,14 @@ bound and the measured fraction, as an exact Fraction.  Checks never weaken
 on failure; a false conclusion surfaces as passed=False with a witness.
 
 The open-question searches at the bottom hunt for counterexample
-configurations nobody has ruled out; they re-verify any hit through an
-independent code path before reporting it.  Over catalog<=24 the first hits
-are A4 for oq_cube_5large and D4 for oq_comm_2large_c (A4, Q8 and H2 are
-witnesses too); oq_gamma_k finds none.
+configurations nobody has ruled out.  Each yields the candidates the fast
+decision accepts, and run_search re-verifies them by the definition,
+through naive_is_k_large: a candidate it refutes is skipped, and the first
+one left is reported with reverified true, or reverified false when the
+check is past naive_is_k_large's budget of |parent|**(k-1) <= 10**6
+intersection tests.  Over catalog<=24 the first hits are A4 for
+oq_cube_5large and D4 for oq_comm_2large_c (A4, Q8 and H2 are witnesses
+too); oq_gamma_k finds none.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .errors import OrderBound, UnknownCheck, UnknownQuestion
+from .errors import BudgetExceeded, OrderBound, UnknownCheck, UnknownQuestion
 from .group import (
     ProductGroup,
     Subset,
@@ -948,14 +952,9 @@ def _search_cube_5large(groups):
     """
     for G in groups:
         sols = _cube_solutions(G)
-        if not _power_large(sols, 5) or is_2_engel(G):
-            continue
-        if G.order ** 4 <= 10 ** 6:
-            if not naive_is_k_large(G, sols.as_subset(), 5):
-                continue
-        return {"group": G.label, "question": "cube_5large",
-                "reverified": G.order ** 4 <= 10 ** 6}
-    return None
+        if _power_large(sols, 5) and not is_2_engel(G):
+            yield sols.as_subset(), 5, {"group": G.label,
+                                        "question": "cube_5large"}
 
 
 def _search_comm_2large_c(groups):
@@ -966,50 +965,9 @@ def _search_comm_2large_c(groups):
     """
     for G in groups:
         for c, sols in _by_value(G, "[x1,x2]").items():
-            if c == G.identity:
-                continue
-            if not _power_large(sols, 2):
-                continue
-            X = sols.as_subset()
-            if not naive_is_k_large(X.parent, X, 2):
-                continue
-            return {"group": G.label, "value": c,
-                    "question": "comm_2large_c", "reverified": True}
-    return None
-
-
-def _independent_cover_at_most(G, ybits, k, node_cap=200_000):
-    """Fresh small cover search used only to double-check search hits."""
-    ylist = [i for i in range(G.order) if (ybits >> i) & 1]
-    full = (1 << G.order) - 1
-    masks = {}
-
-    def mask(g):
-        if g not in masks:
-            m = 0
-            for y in ylist:
-                m |= 1 << G.mul(g, y)
-            masks[g] = m
-        return masks[g]
-
-    nodes = [0]
-
-    def rec(uncovered, depth):
-        if not uncovered:
-            return True
-        if depth == k:
-            return False
-        nodes[0] += 1
-        if nodes[0] > node_cap:
-            raise OrderBound("independent cover recheck too costly")
-        e = (uncovered & -uncovered).bit_length() - 1
-        for y in ylist:
-            g = G.mul(e, G.inv(y))
-            if rec(uncovered & ~mask(g), depth + 1):
-                return True
-        return False
-
-    return rec(full, 0)
+            if c != G.identity and _power_large(sols, 2):
+                yield sols.as_subset(), 2, {"group": G.label, "value": c,
+                                            "question": "comm_2large_c"}
 
 
 def _search_gamma_k(groups):
@@ -1029,15 +987,18 @@ def _search_gamma_k(groups):
             for c, sols in commutators.items():
                 if cen.contains(c):
                     bits |= sols.bits
-            ok, _ = is_k_large(P, Subset(P, bits), 4)
-            if not ok:
-                continue
-            comp = ((1 << P.order) - 1) & ~bits
-            if _independent_cover_at_most(P, comp, 4):
-                continue
-            return {"group": G.label, "g": g, "question": "gamma_k",
-                    "reverified": True}
-    return None
+            X = Subset(P, bits)
+            if is_k_large(P, X, 4)[0]:
+                yield X, 4, {"group": G.label, "g": g, "question": "gamma_k"}
+
+
+def _recheck(X, k):
+    """naive_is_k_large's verdict on X, or None past its budget
+    (|parent|**(k-1) <= 10**6)."""
+    try:
+        return naive_is_k_large(X.parent, X, k)
+    except BudgetExceeded:
+        return None
 
 
 QUESTIONS = {
@@ -1048,7 +1009,13 @@ QUESTIONS = {
 
 
 def run_search(question_id, groups):
+    """The first candidate of a question that _recheck does not refute,
+    with reverified telling whether the recheck ran; None if none."""
     if question_id not in QUESTIONS:
         raise UnknownQuestion(f"no question named {question_id!r}; "
                               f"known: {', '.join(sorted(QUESTIONS))}")
-    return QUESTIONS[question_id](groups)
+    for X, k, witness in QUESTIONS[question_id](groups):
+        verdict = _recheck(X, k)
+        if verdict is not False:
+            return {**witness, "reverified": verdict is not None}
+    return None

@@ -422,8 +422,8 @@ def word_arity(w):
 
 
 def resolve_constant(G, name, constants=None):
-    if constants and name in constants:
-        return constants[name]
+    """The value of a constant: a ``#`` name is an element literal of G
+    whatever constants binds, any other name its binding in constants."""
     if name.startswith("#"):
         body = name[1:]
         if body.isdecimal():
@@ -438,6 +438,8 @@ def resolve_constant(G, name, constants=None):
         if body == "e":
             return G.identity
         raise UnboundConstant(f"no element named {body!r} in {G.label}")
+    if constants and name in constants:
+        return constants[name]
     raise UnboundConstant(f"constant {name!r} has no binding")
 
 
@@ -769,8 +771,8 @@ def run_program(program, ops, columns, length, constants=None):
 
     columns[i] is the column of x(i+1), a list or bytes of element
     indices; constants maps a name to an element or to such a column.
-    Unbound names resolve as literals.  Each column is dropped after its
-    last use.
+    Names resolve through resolve_constant, ``#`` literals first.  Each
+    column is dropped after its last use.
     """
     G = ops.group
     mul, inv, comm, column = ops.mul, ops.inv, ops.comm, ops.column
@@ -794,8 +796,7 @@ def run_program(program, ops, columns, length, constants=None):
             vals[i] = column(columns[x])
         elif op == _LOAD_CONST:
             name = names[a]
-            value = (constants[name] if constants and name in constants
-                     else resolve_constant(G, name))
+            value = resolve_constant(G, name, constants)
             if not isinstance(value, int):
                 vals[i] = column(value)
             elif 0 <= value < G.order:

@@ -8,9 +8,9 @@ table.  Values, bits, counts and the error raised must all agree.  The
 enumeration with constants ranging over the group is held to the same
 buckets as binding each tuple of constants, and as a plain element loop.
 """
-import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -251,19 +251,24 @@ def random_word(rng, depth):
 
 
 def test_the_compile_cache_never_serves_a_freed_word():
-    # words die between iterations, so their addresses come back for the
-    # next ones; a cache that matched roots by id() would serve stale programs
+    # words die a few iterations after their last use, once the cache has
+    # let go of them, so their addresses come back for later ones; a cache
+    # that matched roots by id() would serve stale programs.  Word nodes are
+    # acyclic, so refcounting alone frees them: no gc.collect() is needed
     G, rng = catalog("S4"), random.Random(7)
     consts = {"g": 5}
-    for _ in range(300):
+    alive = []
+    for i in range(300):
         w, u = random_word(rng, 4), random_word(rng, 3)
         asg = (rng.randrange(G.order), rng.randrange(G.order))
         assert evaluate(G, w, asg, consts) == \
             ref.evaluate(G, w, asg, consts)
         assert evaluate_product(G, [u, w], asg, consts) == \
             ref.evaluate_product(G, [u, w], asg, consts)
+        alive.append((weakref.ref(w), weakref.ref(u)))
         del w, u
-        gc.collect()
+        if i >= 3:
+            assert alive[i - 3][0]() is None and alive[i - 3][1]() is None
 
 
 def test_the_compile_cache_is_bounded_and_keeps_the_recent(compiles):

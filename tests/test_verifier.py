@@ -1,10 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
 
-from eqlarge import verifier
+from eqlarge import cli, verifier
 from eqlarge.catalog import catalog, catalog_upto, parse_group_list
-from eqlarge.errors import UnknownCheck, UnknownQuestion
+from eqlarge.errors import BudgetExceeded, UnknownCheck, UnknownQuestion
 from eqlarge.group import center
 from eqlarge.verifier import (
     CHECKS,
@@ -167,6 +168,39 @@ def test_question_witnesses_are_found_and_reverified():
     assert hit2 is not None
     assert hit2["group"] == "A4"
     assert hit2["reverified"]
+
+
+def test_the_recheck_refutes_a_false_hit(monkeypatch):
+    # a fast decision that wrongly calls every gamma_k pair set of S3
+    # 4-large is caught by naive_is_k_large, which checks each candidate
+    checked = []
+    naive = verifier.naive_is_k_large
+
+    def counted(G, X, k):
+        checked.append(k)
+        return naive(G, X, k)
+
+    monkeypatch.setattr(verifier, "is_k_large", lambda G, X, k: (True, None))
+    monkeypatch.setattr(verifier, "naive_is_k_large", counted)
+    assert run_search("oq_gamma_k", [S3]) is None
+    # one candidate per transposition, the elements A3 does not centralize
+    assert checked == [4, 4, 4]
+
+
+def test_a_hit_past_the_recheck_budget_is_reported_unverified(
+        monkeypatch, capsys):
+    def past_budget(G, X, k):
+        raise BudgetExceeded("past the budget")
+
+    monkeypatch.setattr(verifier, "naive_is_k_large", past_budget)
+    assert run_search("oq_comm_2large_c", [D4]) == {
+        "group": "D4", "value": 2, "question": "comm_2large_c",
+        "reverified": False}
+    # a witness (exit 1), not a budget error (exit 3)
+    argv = ["search", "oq_cube_5large", "--groups", "A4", "--format", "json"]
+    assert cli._main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["witness"] == {
+        "group": "A4", "question": "cube_5large", "reverified": False}
 
 
 def test_forced_hypotheses_report_the_least_witness(monkeypatch):

@@ -10,6 +10,7 @@ from eqlarge.errors import (
     UnboundConstant,
 )
 from eqlarge.group import derived_subgroup, lower_central_series
+from eqlarge.probability import solution_set
 from eqlarge.words import (
     Comm,
     Conj,
@@ -168,6 +169,16 @@ def test_literal_constants():
     assert evaluate(S3, parse_word("#e"), ()) == S3.identity
     assert evaluate(S3, parse_word("#3"), ()) == 3
     assert evaluate(S3, IDENTITY_WORD, ()) == S3.identity
+
+
+def test_a_binding_never_overrides_a_literal():
+    # a # name is an element literal whatever the constants dict binds
+    Q8 = catalog("Q8")
+    sols = solution_set(Q8, "x1=#e", {"#e": 3})
+    assert list(sols.indices()) == [Q8.identity]
+    assert evaluate(Q8, parse_word("#2*g"), (), {"#2": 3, "g": 1}) == \
+        Q8.mul(2, 1)
+    assert ref.evaluate(Q8, parse_word("#e"), (), {"#e": 3}) == Q8.identity
 
 
 def test_supercommutator_recognition():
