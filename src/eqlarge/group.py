@@ -390,6 +390,14 @@ class _TabledProduct(TableGroup, ProductGroup):
         return tuple(map(self.row, range(self.order)))
 
 
+def _set_bits(m):
+    """The positions of the set bits of m, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
 @dataclass(frozen=True)
 class Subset:
     """Subset of a group's elements as a bit vector (bit i = element i)."""
@@ -425,11 +433,7 @@ class Subset:
         return Subset(self.parent, self.bits ^ ((1 << self.parent.order) - 1))
 
     def elements(self):
-        m = self.bits
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
+        return _set_bits(self.bits)
 
     def indices(self):
         return list(self.elements())
@@ -594,7 +598,7 @@ def subgroup_as_group(G, sub, label=None):
     Returns (group, elements) where elements[i] is the parent index of
     the subgroup's element i.
     """
-    elems = sorted(sub.elements() if isinstance(sub, Subset) else sub)
+    elems = sorted(sub)
     if not is_subgroup(G, Subset.from_indices(G, elems)):
         raise NotASubgroup(f"{elems} is not a subgroup of {G.label}")
     pos = {g: i for i, g in enumerate(elems)}
@@ -606,16 +610,11 @@ def subgroup_as_group(G, sub, label=None):
 
 
 def center(G):
-    n = G.order
-    bits = 0
-    for g in range(n):
-        if all(G.mul(g, h) == G.mul(h, g) for h in range(n)):
-            bits |= 1 << g
-    return Subset(G, bits)
+    return centralizer(G, range(G.order))
 
 
 def centralizer(G, sub):
-    elems = list(sub.elements() if isinstance(sub, Subset) else sub)
+    elems = list(sub)
     bits = 0
     for g in range(G.order):
         if all(G.mul(g, s) == G.mul(s, g) for s in elems):
@@ -624,7 +623,7 @@ def centralizer(G, sub):
 
 
 def subgroup_generated(G, gens):
-    gens = list(gens.elements() if isinstance(gens, Subset) else gens)
+    gens = list(gens)
     bits = 1 << G.identity
     frontier = [G.identity]
     for g in gens:
@@ -643,7 +642,7 @@ def subgroup_generated(G, gens):
 
 
 def normal_closure(G, gens):
-    gens = list(gens.elements() if isinstance(gens, Subset) else gens)
+    gens = list(gens)
     current = set(gens)
     while True:
         conjs = {G.conj(a, g) for a in current for g in range(G.order)}
@@ -735,12 +734,13 @@ def is_2_engel(G):
     return True
 
 
+def _centralizer_indices(G):
+    """The index of each element's centralizer, by element."""
+    return [G.order // centralizer(G, [g]).size for g in range(G.order)]
+
+
 def max_centralizer_index(G):
-    worst = 1
-    for g in range(G.order):
-        c = centralizer(G, [g])
-        worst = max(worst, G.order // c.size)
-    return worst
+    return max(_centralizer_indices(G))
 
 
 def quotient(G, N):

@@ -65,11 +65,7 @@ class SolutionSet:
         return Subset(P, self.bits)
 
     def indices(self):
-        m = self.bits
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
+        return group._set_bits(self.bits)
 
 
 def solution_set_json(sols, index_threshold=1 << 16):

@@ -30,6 +30,7 @@ from .errors import BudgetExceeded, OrderBound, UnknownCheck, UnknownQuestion
 from .group import (
     ProductGroup,
     Subset,
+    _centralizer_indices,
     automorphism_group,
     center,
     centralizer,
@@ -171,9 +172,26 @@ def _by_value(G, text, constants=None):
     return next(_slices(G, text, (), constants))
 
 
-def _min_margin(margins):
-    vals = [m for m in margins if m is not None]
-    return min(vals) if vals else None
+def _bounded(check_id, G, instances, k=None):
+    """The shared scan of the bounded-fraction checks: each instance is
+    (bound, solution set, witness fields).  The hypothesis holds once an
+    instance is given, and the margin is the least bound - fraction.  The
+    first instance whose fraction passes its bound, or that is k-large when
+    k is given, fails the check with its fields and its fraction."""
+    margin = None
+    for bound, sols, fields in instances:
+        mu = sols.fraction()
+        if mu > bound or (k is not None and _power_large(sols, k)):
+            return _result(check_id, G, True, False, None,
+                           {**fields, "fraction": str(mu)})
+        margin = bound - mu if margin is None else min(margin, bound - mu)
+    return _result(check_id, G, margin is not None, True, margin)
+
+
+def _noncentral(G):
+    """The least element outside the center, or None when G is abelian."""
+    zen = center(G)
+    return next((g for g in range(G.order) if not zen.contains(g)), None)
 
 
 # --- counting facts ---------------------------------------------------------
@@ -206,15 +224,9 @@ def check_laffey_p(G):
     hyp = len(primes) >= 2
     if not hyp:
         return _result("laffey_p", G, False, True)
-    margins = []
-    ok = True
-    for p in primes:
-        mu = solution_set(G, f"x1^{p}=#e").fraction()
-        bound = Fraction(p, p + 1)
-        margins.append(bound - mu)
-        if mu > bound:
-            ok = False
-    return _result("laffey_p", G, True, ok, _min_margin(margins))
+    margin = min(Fraction(p, p + 1) - solution_set(G, f"x1^{p}=#e").fraction()
+                 for p in primes)
+    return _result("laffey_p", G, True, margin >= 0, margin)
 
 
 def check_iiyori_yamaki(G):
@@ -379,27 +391,21 @@ _WORD_FAMILY = [
 
 
 def _bounded_word_check(check_id, G, k_value, exponent_of):
-    """Shared engine: for each family word and constant choice, every value
-    bucket that is not an identity must have fraction at most
-    1 - 1/(2*k**e) with e = exponent_of(nvars, nconsts)."""
-    hyp_any = False
-    margins = []
-    for text, nvars, ranged in _WORD_FAMILY:
-        bound = 1 - Fraction(1, 2 * k_value ** exponent_of(nvars,
-                                                           len(ranged)))
-        total = G.order ** nvars
-        for by_value in _slices(G, text, ranged):
-            for c, sols in by_value.items():
-                if sols.count == total:
-                    continue
-                hyp_any = True
-                mu = sols.fraction()
-                margins.append(bound - mu)
-                if mu > bound:
-                    return _result(check_id, G, True, False, None,
-                                   {"word": text, "value": c,
-                                    "fraction": str(mu)})
-    return _result(check_id, G, hyp_any, True, _min_margin(margins))
+    """For each family word and constant choice, every value bucket that is
+    not an identity must have fraction at most 1 - 1/(2*k**e) with
+    e = exponent_of(nvars, nconsts)."""
+
+    def instances():
+        for text, nvars, ranged in _WORD_FAMILY:
+            bound = 1 - Fraction(1, 2 * k_value ** exponent_of(nvars,
+                                                               len(ranged)))
+            total = G.order ** nvars
+            for by_value in _slices(G, text, ranged):
+                for c, sols in by_value.items():
+                    if sols.count != total:
+                        yield bound, sols, {"word": text, "value": c}
+
+    return _bounded(check_id, G, instances())
 
 
 def check_bfc_bound(G):
@@ -426,13 +432,7 @@ def check_central_identity(G):
     """If a word equation holds 2-largely, dropping the constants to the
     identity makes it hold identically on central tuples."""
     Z = list(center(G).indices())
-    central = set(Z)
-    noncentral = [g for g in range(G.order) if g not in central]
-    gvals = [G.identity]
-    if noncentral:
-        gvals.append(noncentral[0])
-    gvals.append(G.order - 1)
-    gvals = sorted(set(gvals))
+    gvals = sorted({G.identity, G.order - 1, _noncentral(G)} - {None})
     family = [("[x1,g]", 1), ("x1^2*g", 1), ("x1*g*x2", 2)]
     hyp_any = False
     for text, nvars in family:
@@ -485,7 +485,7 @@ def check_center_gcd(G):
                     return _result("center_gcd", G, True, False, None,
                                    {"powers": [a, b], "value": c,
                                     "fraction": str(mu)})
-    return _result("center_gcd", G, hyp_any, True, _min_margin(margins))
+    return _result("center_gcd", G, hyp_any, True, min(margins, default=None))
 
 
 # --- order two and order three ----------------------------------------------
@@ -499,18 +499,11 @@ def check_square_eq(G):
     """Unless the group is abelian of exponent dividing 2 and c is the
     identity, x^2 = c misses a quarter of the group and is never
     4-large."""
-    hyp_any = False
-    margins = []
-    for c, sols in _by_value(G, "x1^2").items():
-        if _exp2_abelian(G) and c == G.identity:
-            continue
-        hyp_any = True
-        mu = sols.fraction()
-        margins.append(Fraction(3, 4) - mu)
-        if mu > Fraction(3, 4) or _power_large(sols, 4):
-            return _result("square_eq", G, True, False, None,
-                           {"value": c, "fraction": str(mu)})
-    return _result("square_eq", G, hyp_any, True, _min_margin(margins))
+    exempt = _exp2_abelian(G)
+    return _bounded("square_eq", G, (
+        (Fraction(3, 4), sols, {"value": c})
+        for c, sols in _by_value(G, "x1^2").items()
+        if not (exempt and c == G.identity)), 4)
 
 
 def check_xaxb(G):
@@ -537,7 +530,7 @@ def check_xaxb(G):
             if mu > Fraction(3, 4):
                 return _result("xaxb", G, True, False, None,
                                {"a": a, "b": b, "fraction": str(mu)})
-    return _result("xaxb", G, hyp_any, True, _min_margin(margins))
+    return _result("xaxb", G, hyp_any, True, min(margins, default=None))
 
 
 def _cube_solutions(G):
@@ -581,12 +574,10 @@ def check_comm_product(G):
     """A product of commutators [x_i, g_i] = c is 2-large only when every
     g_i is central and c is the identity; otherwise it misses half."""
     zen = center(G)
-    noncentral = [g for g in range(G.order) if not zen.contains(g)]
-    g2vals = [G.identity] + noncentral[:1]
-    hyp_any = False
-    margins = []
+    nc = _noncentral(G)
+    g2vals = [G.identity] if nc is None else [G.identity, nc]
 
-    def instances():
+    def words():
         singles = zip(_slices(G, "[x1,g]", ("g",)),
                       _slices(G, "[g,x1]", ("g",)))
         for g1, (xg, gx) in enumerate(singles):
@@ -598,66 +589,42 @@ def check_comm_product(G):
             for g2, by_value in zip(g2vals, row):
                 yield "[x1,g]*[x2,h]", [g1, g2], by_value
 
-    for text, gs, by_value in instances():
-        for c, sols in by_value.items():
-            if all(zen.contains(g) for g in gs) and c == G.identity:
-                continue
-            hyp_any = True
-            mu = sols.fraction()
-            margins.append(Fraction(1, 2) - mu)
-            if mu > Fraction(1, 2) or _power_large(sols, 2):
-                return _result("comm_product", G, True, False, None,
-                               {"word": text, "constants": gs, "value": c})
-    return _result("comm_product", G, hyp_any, True, _min_margin(margins))
+    return _bounded("comm_product", G, (
+        (Fraction(1, 2), sols, {"word": text, "constants": gs, "value": c})
+        for text, gs, by_value in words()
+        for c, sols in by_value.items()
+        if not (all(zen.contains(g) for g in gs) and c == G.identity)), 2)
 
 
 def check_comm_abelian(G):
     """[x,y] = c is 4-large only in the abelian case with c = e; otherwise
     it misses a quarter of the pairs."""
-    hyp_any = False
-    margins = []
-    for c, sols in _by_value(G, "[x1,x2]").items():
-        if is_abelian(G) and c == G.identity:
-            continue
-        hyp_any = True
-        mu = sols.fraction()
-        margins.append(Fraction(3, 4) - mu)
-        if mu > Fraction(3, 4) or _power_large(sols, 4):
-            return _result("comm_abelian", G, True, False, None,
-                           {"value": c, "fraction": str(mu)})
-    return _result("comm_abelian", G, hyp_any, True, _min_margin(margins))
+    abelian = is_abelian(G)
+    return _bounded("comm_abelian", G, (
+        (Fraction(3, 4), sols, {"value": c})
+        for c, sols in _by_value(G, "[x1,x2]").items()
+        if not (abelian and c == G.identity)), 4)
 
 
 def check_word_comm_abelian(G):
     """w * [x,y] = c with y fresh is 4-large only when the group is abelian
     and w = c holds identically; otherwise at most 3/4."""
-    zen = center(G)
-    noncentral = [g for g in range(G.order) if not zen.contains(g)]
-    gval = noncentral[0] if noncentral else G.identity
+    nc = _noncentral(G)
+    gval = G.identity if nc is None else nc
     family = [("x1^2", "x1^2*[x1,x2]", None),
               ("[x1,g]", "[x1,g]*[x1,x2]", {"g": gval})]
-    hyp_any = False
-    margins = []
-    for part_text, full_text, consts in family:
-        part_vals = {c: s.count
-                     for c, s in _by_value(G, part_text, consts).items()}
-        for c, sols in _by_value(G, full_text, consts).items():
-            part_identity = part_vals.get(c, 0) == G.order
-            if is_abelian(G) and part_identity:
-                continue
-            hyp_any = True
-            mu = sols.fraction()
-            margins.append(Fraction(3, 4) - mu)
-            if mu > Fraction(3, 4) or _power_large(sols, 4):
-                return _result("word_comm_abelian", G, True, False, None,
-                               {"word": full_text, "value": c})
-    return _result("word_comm_abelian", G, hyp_any, True,
-                   _min_margin(margins))
+    abelian = is_abelian(G)
 
+    def instances():
+        for part_text, full_text, consts in family:
+            part = _by_value(G, part_text, consts)
+            for c, sols in _by_value(G, full_text, consts).items():
+                # exempt when w = c holds identically
+                if not (abelian and c in part and part[c].count == G.order):
+                    yield Fraction(3, 4), sols, {"word": full_text,
+                                                 "value": c}
 
-def _centralizer_indices(G):
-    """The index of each element's centralizer, by element."""
-    return [G.order // centralizer(G, [g]).size for g in range(G.order)]
+    return _bounded("word_comm_abelian", G, instances(), 4)
 
 
 def check_conj_comm(G):
@@ -723,27 +690,21 @@ def check_triple_comm(G):
 def check_nilp_mc(G):
     """Iterated commutator equations miss a fraction controlled by the size
     of a witness family whose centralizers cut the center."""
-    hyp_any = False
-    margins = []
-    for k in (1, 2):
-        try:
-            mc = mc_witness(G, k)
-        except OrderBound:
-            continue
-        s = mc.s
-        bound = 1 - Fraction(1, 2 * (s + 1) ** k)
-        cls = nilpotency_class(G)
-        word = "[" + ",".join(f"x{i + 1}" for i in range(k + 1)) + "]"
-        for c, sols in _by_value(G, word).items():
-            if cls is not None and cls <= k and c == G.identity:
+
+    def instances():
+        for k in (1, 2):
+            try:
+                s = mc_witness(G, k).s
+            except OrderBound:
                 continue
-            hyp_any = True
-            mu = sols.fraction()
-            margins.append(bound - mu)
-            if mu > bound:
-                return _result("nilp_mc", G, True, False, None,
-                               {"k": k, "value": c, "fraction": str(mu)})
-    return _result("nilp_mc", G, hyp_any, True, _min_margin(margins))
+            bound = 1 - Fraction(1, 2 * (s + 1) ** k)
+            cls = nilpotency_class(G)
+            word = "[" + ",".join(f"x{i + 1}" for i in range(k + 1)) + "]"
+            for c, sols in _by_value(G, word).items():
+                if not (cls is not None and cls <= k and c == G.identity):
+                    yield bound, sols, {"k": k, "value": c}
+
+    return _bounded("nilp_mc", G, instances())
 
 
 def check_supercomm_const(G):
@@ -789,9 +750,8 @@ def check_nilpotent_identity(G):
     if cls is None:
         return _result("nilpotent_identity", G, False, True)
     need = 2 ** cls
-    zen = center(G)
-    noncentral = [g for g in range(G.order) if not zen.contains(g)]
-    gval = noncentral[0] if noncentral else G.identity
+    nc = _noncentral(G)
+    gval = G.identity if nc is None else nc
     family = [("x1^2", None), ("x1^3", None), ("[x1,x2]", None),
               ("[x1,g]", {"g": gval})]
     hyp_any = False
@@ -856,7 +816,7 @@ def check_autocomm(G):
         if report.degree > Fraction(3, 4) or ok4:
             return _result("autocomm", G, True, False, None,
                            {"variant": name, "degree": str(report.degree)})
-    return _result("autocomm", G, hyp_any, True, _min_margin(margins),
+    return _result("autocomm", G, hyp_any, True, min(margins, default=None),
                    {"degrees": degrees})
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -9,14 +10,44 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eqlarge import cli, group, verifier
 from eqlarge.verifier import CHECKS
 from eqlarge.words import MAX_VARIABLE, MAX_WORD_HEIGHT
 
 BUDGET_TRAP = {"elements": [2, 3, 8, 12, 14, 15, 18, 19]}
 
 
-# the checkout's src/, which pytest's pythonpath setting does not pass on
-# to child processes
+def run_cli(*argv):
+    """The command run in this process: (returncode, stdout, stderr).
+
+    verify --seed sets the verifier's module-level seed, which is put back
+    so that later tests still sample at seed 0.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    seed = verifier._SEED
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli._main(list(argv))
+            except SystemExit as exc:   # argparse: usage errors and --help
+                code = exc.code
+    finally:
+        verifier.set_seed(seed)
+    return code, out.getvalue(), err.getvalue()
+
+
+@contextlib.contextmanager
+def small_caps():
+    """Products and powers past 4096 elements and searches past 2000 nodes
+    are declined with 3, which keeps every fuzzed command quick."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(group, "INDEX_BOUND", 4096)
+        mp.setenv("EQLARGE_BUDGET_NODES", "2000")
+        yield
+
+
+# for the few tests that need a process of their own: the checkout's src/,
+# which pytest's pythonpath setting does not pass on to child processes
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
@@ -30,150 +61,177 @@ def child_env(env_extra=None):
     return env
 
 
-def run_cli(*args, env_extra=None):
-    return subprocess.run([sys.executable, "-m", "eqlarge.cli", *args],
+def run_process(module, *args, env_extra=None):
+    return subprocess.run([sys.executable, "-m", module, *args],
                           capture_output=True, text=True,
                           env=child_env(env_extra))
 
 
+def test_child_processes_import_this_checkout(monkeypatch, tmp_path):
+    # src/ goes first, and what PYTHONPATH already held stays on the path
+    monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+    script = "import sys, eqlarge; print(eqlarge.__file__); print(sys.path)"
+    p = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                       text=True, env=child_env())
+    assert p.returncode == 0, p.stderr
+    where, path = p.stdout.splitlines()
+    assert where.startswith(os.path.join(SRC, "eqlarge"))
+    assert str(tmp_path) in path
+
+
+def test_exit_codes_reach_the_process():
+    # what _main returns is the exit status of eqlarge.cli run as a program
+    for code, argv, env in (
+            (0, ["prob", "S3", "[x1,x2]=#e"], None),
+            (1, ["search", "oq_comm_2large_c", "--groups", "D4"], None),
+            (2, ["prob", "Z9", "x1=#e"], None),
+            (2, ["frobnicate"], None),
+            (3, ["cover", "S4", "--subset", json.dumps(BUDGET_TRAP)],
+             {"EQLARGE_BUDGET_NODES": "2"})):
+        p = run_process("eqlarge.cli", *argv, env_extra=env)
+        assert p.returncode == code, argv
+        assert "Traceback" not in p.stderr
+
+
 def test_prob_text():
-    p = run_cli("prob", "S3", "[x1,x2]=#e")
-    assert p.returncode == 0
-    assert p.stdout.strip() == "1/2 (~0.5)"
+    code, out, _ = run_cli("prob", "S3", "[x1,x2]=#e")
+    assert code == 0
+    assert out.strip() == "1/2 (~0.5)"
 
 
 def test_prob_with_constant():
-    p = run_cli("prob", "D4", "[x1,x2]=c", "--const", "c=2")
-    assert p.returncode == 0
-    assert p.stdout.strip() == "3/8 (~0.375)"
-    q = run_cli("prob", "D4", "[x1,x2]=c", "--const", "c=#2",
-                "--format", "json")
-    assert json.loads(q.stdout) == {
+    code, out, _ = run_cli("prob", "D4", "[x1,x2]=c", "--const", "c=2")
+    assert code == 0
+    assert out.strip() == "3/8 (~0.375)"
+    _, out, _ = run_cli("prob", "D4", "[x1,x2]=c", "--const", "c=#2",
+                        "--format", "json")
+    assert json.loads(out) == {
         "equation": "[x1,x2]=c", "group": "D4", "probability": "3/8"}
 
 
 def test_const_values_read_as_literals():
     # each value works as --const exactly as it does as #VALUE in the word
-    p = run_cli("prob", "E2^2", "[x1,g]=#e", "--const", "g=#e")
-    assert p.returncode == 0
-    assert p.stdout.strip() == "1/1 (~1)"
-    p = run_cli("solve", "Q8", "x1=g", "--const", "g=-1")
-    assert p.returncode == 0
-    assert p.stdout.splitlines()[-1].strip() == "-1"
-    assert p.stdout.splitlines()[-1] == run_cli(
-        "solve", "Q8", "x1=#-1").stdout.splitlines()[-1]
+    code, out, _ = run_cli("prob", "E2^2", "[x1,g]=#e", "--const", "g=#e")
+    assert code == 0
+    assert out.strip() == "1/1 (~1)"
+    code, out, _ = run_cli("solve", "Q8", "x1=g", "--const", "g=-1")
+    assert code == 0
+    assert out.splitlines()[-1].strip() == "-1"
+    assert out.splitlines()[-1] == run_cli(
+        "solve", "Q8", "x1=#-1")[1].splitlines()[-1]
 
 
 def test_a_const_name_bound_twice_is_refused():
-    p = run_cli("prob", "Q8", "x1=g", "--const", "g=#e", "--const", "g=1")
-    assert p.returncode == 2
-    assert "twice" in p.stderr and "Traceback" not in p.stderr
+    code, _, err = run_cli("prob", "Q8", "x1=g", "--const", "g=#e",
+                           "--const", "g=1")
+    assert code == 2
+    assert "twice" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("name", ["x1", "x2", "x01", "x0", "x99999"])
 def test_a_const_name_read_as_a_variable_is_refused(name):
-    p = run_cli("prob", "Q8", "x1=#e", "--const", f"{name}=2")
-    assert p.returncode == 2
-    assert "not a constant" in p.stderr and "Traceback" not in p.stderr
+    code, _, err = run_cli("prob", "Q8", "x1=#e", "--const", f"{name}=2")
+    assert code == 2
+    assert "not a constant" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("name", ["1g", "g h", " g", "g*h", "[g,h]", "#e",
                                   "#2", "g^2", "g-h"])
 def test_a_const_name_that_is_no_identifier_is_refused(name):
-    p = run_cli("prob", "Q8", "x1=g", "--const", f"{name}=2")
-    assert p.returncode == 2
-    assert "not a constant" in p.stderr and "Traceback" not in p.stderr
+    code, _, err = run_cli("prob", "Q8", "x1=g", "--const", f"{name}=2")
+    assert code == 2
+    assert "not a constant" in err and "Traceback" not in err
 
 
 def test_distinct_const_names_still_bind():
-    p = run_cli("prob", "Q8", "x1*g=h", "--const", "g=1", "--const", "h=1",
-                "--const", "_x1=2")
-    assert p.returncode == 0
-    assert p.stdout.strip() == "1/8 (~0.125)"
+    code, out, _ = run_cli("prob", "Q8", "x1*g=h", "--const", "g=1",
+                           "--const", "h=1", "--const", "_x1=2")
+    assert code == 0
+    assert out.strip() == "1/8 (~0.125)"
 
 
 def test_python_dash_m_eqlarge_runs_the_command():
-    def run(*args):
-        return subprocess.run([sys.executable, "-m", "eqlarge", *args],
-                              capture_output=True, text=True,
-                              env=child_env())
-
-    p = run("prob", "S3", "[x1,x2]=#e")
+    p = run_process("eqlarge", "prob", "S3", "[x1,x2]=#e")
     assert p.returncode == 0
     assert p.stdout.strip() == "1/2 (~0.5)"
-    assert run("prob", "S3", "x1=#e", "--const", "x1=2").returncode == 2
-    assert run().returncode == 2
+    assert run_process("eqlarge", "prob", "S3", "x1=#e", "--const",
+                       "x1=2").returncode == 2
+    assert run_process("eqlarge").returncode == 2
 
 
 def test_cover_text():
-    p = run_cli("cover", "C4", "--subset", '{"elements": [0, 1]}')
-    assert p.returncode == 0
-    assert p.stdout.splitlines() == ["2", "translators: 0 2"]
-    assert "elapsed" in p.stderr
+    code, out, err = run_cli("cover", "C4", "--subset",
+                             '{"elements": [0, 1]}')
+    assert code == 0
+    assert out.splitlines() == ["2", "translators: 0 2"]
+    assert "elapsed" in err
 
 
 def test_solve_lists_solutions():
-    p = run_cli("solve", "C4", "x1^2=#e")
-    assert p.returncode == 0
-    lines = p.stdout.splitlines()
+    code, out, _ = run_cli("solve", "C4", "x1^2=#e")
+    assert code == 0
+    lines = out.splitlines()
     assert "solutions: 2 of 4" in lines
     assert "fraction: 1/2 (~0.5)" in lines
     assert [ln.strip() for ln in lines[-2:]] == ["0", "2"]
 
 
 def test_solve_max_solutions_bounds_the_list():
-    p = run_cli("solve", "C4", "x1^2=#e", "--max-solutions", "0",
-                "--format", "json")
-    assert p.returncode == 0
-    doc = json.loads(p.stdout)
+    code, out, _ = run_cli("solve", "C4", "x1^2=#e", "--max-solutions", "0",
+                           "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
     assert doc["solutions"] == [] and doc["truncated"] is True
-    p = run_cli("solve", "C4", "x1^2=#e", "--max-solutions", "-1")
-    assert p.returncode == 2
-    assert "--max-solutions" in p.stderr and not p.stdout
+    code, out, err = run_cli("solve", "C4", "x1^2=#e", "--max-solutions",
+                             "-1")
+    assert code == 2
+    assert "--max-solutions" in err and not out
 
 
 def test_solve_names_componentwise_product_elements():
     # S4xS4xC2 has 1152 elements, above the product table bound
-    p = run_cli("solve", "S4xS4xC2", "x1^2=#e", "--max-solutions", "3")
-    assert p.returncode == 0
-    assert [ln.strip() for ln in p.stdout.splitlines()[-4:]] == [
+    code, out, _ = run_cli("solve", "S4xS4xC2", "x1^2=#e",
+                           "--max-solutions", "3")
+    assert code == 0
+    assert [ln.strip() for ln in out.splitlines()[-4:]] == [
         "(e,e,0)", "(e,e,1)", "(e,(3 4),0)", "... (197 more)"]
-    p = run_cli("solve", "S4xS4xC2", "x1=g", "--const", "g=((1 2),(1 3 2),1)")
-    assert p.returncode == 0
-    assert "solutions: 1 of 1152" in p.stdout.splitlines()
-    assert p.stdout.splitlines()[-1].strip() == "((1 2),(1 3 2),1)"
-    p = run_cli("solve", "S4xS4xC2", "x1=g", "--const", "g=((1 2),e)")
-    assert p.returncode == 2
-    assert "no element named" in p.stderr
+    code, out, _ = run_cli("solve", "S4xS4xC2", "x1=g", "--const",
+                           "g=((1 2),(1 3 2),1)")
+    assert code == 0
+    assert "solutions: 1 of 1152" in out.splitlines()
+    assert out.splitlines()[-1].strip() == "((1 2),(1 3 2),1)"
+    code, _, err = run_cli("solve", "S4xS4xC2", "x1=g", "--const",
+                           "g=((1 2),e)")
+    assert code == 2
+    assert "no element named" in err
 
 
 def test_largeness_report():
-    p = run_cli("largeness", "S3", "x1^3=#e")
-    assert p.returncode == 0
-    out = p.stdout
+    code, out, _ = run_cli("largeness", "S3", "x1^3=#e")
+    assert code == 0
     assert "genericity_number: 2" in out
     assert "largeness_number: 1" in out
 
 
 def test_info():
-    p = run_cli("info", "S3")
-    assert p.returncode == 0
-    assert "order: 6" in p.stdout
-    assert "classes: 3" in p.stdout
-    assert "nilpotency_class: None" in p.stdout
+    code, out, _ = run_cli("info", "S3")
+    assert code == 0
+    assert "order: 6" in out
+    assert "classes: 3" in out
+    assert "nilpotency_class: None" in out
 
 
 def test_ac_inner():
-    p = run_cli("ac", "S3", "--sigma", "inner")
-    assert p.returncode == 0
-    assert "degree: 1/2 (~0.5)" in p.stdout
-    assert "fixed pairs: 18 of 36" in p.stdout
+    code, out, _ = run_cli("ac", "S3", "--sigma", "inner")
+    assert code == 0
+    assert "degree: 1/2 (~0.5)" in out
+    assert "fixed pairs: 18 of 36" in out
 
 
 def test_catalog_listing():
-    p = run_cli("catalog", "catalog<=8")
-    assert p.returncode == 0
-    lines = p.stdout.splitlines()
+    code, out, _ = run_cli("catalog", "catalog<=8")
+    assert code == 0
+    lines = out.splitlines()
     assert len(lines) == 15
     assert lines[0].split() == ["C1", "1"]
     assert any(ln.split() == ["Q8", "8"] for ln in lines)
@@ -184,94 +242,110 @@ def test_verify_json_is_deterministic():
             "--format", "json")
     first = run_cli(*args)
     second = run_cli(*args)
-    assert first.returncode == 0
-    assert first.stdout == second.stdout
-    doc = json.loads(first.stdout)
+    assert first[0] == 0
+    assert first[1] == second[1]
+    doc = json.loads(first[1])
     assert doc["summary"]["failed"] == 0
     assert doc["summary"]["total"] == len(doc["results"])
 
 
+def test_verify_bounded_checks_over_catalog_24():
+    # the bounded-fraction checks and the checks beside them over the
+    # groups of order 17 to 24 too, which the seed-0 catalog<=16 pin misses
+    checks = ("bfc_bound,center_by_finite,central_identity,comm_product,"
+              "square_eq,comm_abelian,word_comm_abelian,nilp_mc,"
+              "nilpotent_identity")
+    code, out, _ = run_cli("verify", "--groups", "catalog<=24", "--checks",
+                           checks, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "264662b3a161d265e313212882736c898f30a6c31e40061e274dd1b050bbb8bf"
+
+
 def test_verify_csv():
-    p = run_cli("verify", "--checks", "erdos_turan", "--groups", "S3,C4",
-                "--format", "csv")
-    assert p.returncode == 0
-    assert p.stdout.splitlines() == [
+    code, out, _ = run_cli("verify", "--checks", "erdos_turan", "--groups",
+                           "S3,C4", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == [
         "check,group,passed,vacuous,margin",
         "erdos_turan,C4,True,False,0",
         "erdos_turan,S3,True,False,0"]
 
 
 def test_verify_checks_flag():
-    p = run_cli("verify", "--checks", "erdos_turan,frobenius",
-                "--groups", "C4", "--format", "csv")
-    assert p.returncode == 0
-    rows = p.stdout.splitlines()[1:]
+    code, out, _ = run_cli("verify", "--checks", "erdos_turan,frobenius",
+                           "--groups", "C4", "--format", "csv")
+    assert code == 0
+    rows = out.splitlines()[1:]
     assert [r.split(",")[0] for r in rows] == ["erdos_turan", "frobenius"]
     # a --checks value that names no check runs nothing and passes nothing
     for value in (",", " ", ""):
-        p = run_cli("verify", "--checks", value, "--groups", "C4")
-        assert p.returncode == 2, repr(value)
-        assert "names no check" in p.stderr and not p.stdout
+        code, out, err = run_cli("verify", "--checks", value, "--groups",
+                                 "C4")
+        assert code == 2, repr(value)
+        assert "names no check" in err and not out
 
 
 def test_search_no_witness():
-    p = run_cli("search", "oq_gamma_k", "--groups", "C2,S3")
-    assert p.returncode == 0
-    assert p.stdout.strip() == "oq_gamma_k: no witness found"
+    code, out, _ = run_cli("search", "oq_gamma_k", "--groups", "C2,S3")
+    assert code == 0
+    assert out.strip() == "oq_gamma_k: no witness found"
 
 
 def test_search_witness_exits_nonzero():
-    p = run_cli("search", "oq_comm_2large_c", "--groups", "D4")
-    assert p.returncode == 1
-    assert p.stdout.startswith("oq_comm_2large_c: WITNESS ")
-    payload = json.loads(p.stdout.split("WITNESS ", 1)[1])
+    code, out, _ = run_cli("search", "oq_comm_2large_c", "--groups", "D4")
+    assert code == 1
+    assert out.startswith("oq_comm_2large_c: WITNESS ")
+    payload = json.loads(out.split("WITNESS ", 1)[1])
     assert payload == {"group": "D4", "question": "comm_2large_c",
                        "reverified": True, "value": 2}
 
 
 def test_usage_errors_exit_2():
-    assert run_cli("prob", "Z9", "x1=#e").returncode == 2
-    p = run_cli("prob", "Z9", "x1=#e")
-    assert "did you mean C9?" in p.stderr
-    assert run_cli("prob", "S3", "x1*=").returncode == 2
-    assert run_cli("verify", "--groups", "S3", "--jobs", "1").returncode == 2
+    assert run_cli("prob", "Z9", "x1=#e")[0] == 2
+    _, _, err = run_cli("prob", "Z9", "x1=#e")
+    assert "did you mean C9?" in err
+    assert run_cli("prob", "S3", "x1*=")[0] == 2
+    assert run_cli("verify", "--groups", "S3", "--jobs", "1")[0] == 2
     # check ids go through --checks only; there is no positional selector
-    assert run_cli("verify", "all", "--groups", "S3").returncode == 2
-    assert run_cli("frobnicate").returncode == 2
+    assert run_cli("verify", "all", "--groups", "S3")[0] == 2
+    assert run_cli("frobnicate")[0] == 2
 
 
-def test_budget_exhaustion_exits_3():
-    p = run_cli("cover", "S4", "--subset", json.dumps(BUDGET_TRAP),
-                env_extra={"EQLARGE_BUDGET_NODES": "2"})
-    assert p.returncode == 3
-    assert "nodes" in p.stderr
+def test_budget_exhaustion_exits_3(monkeypatch):
+    monkeypatch.setenv("EQLARGE_BUDGET_NODES", "2")
+    code, _, err = run_cli("cover", "S4", "--subset", json.dumps(BUDGET_TRAP))
+    assert code == 3
+    assert "nodes" in err
 
 
-def test_bad_node_cap_exits_2():
+def test_bad_node_cap_exits_2(monkeypatch):
     subset = ("cover", "C4", "--subset", '{"elements": [0, 1]}')
     for raw in ("abc", "-5", "0"):
-        p = run_cli(*subset, env_extra={"EQLARGE_BUDGET_NODES": raw})
-        assert p.returncode == 2, raw
-        assert "positive integer" in p.stderr
-        assert "Traceback" not in p.stderr
+        monkeypatch.setenv("EQLARGE_BUDGET_NODES", raw)
+        code, _, err = run_cli(*subset)
+        assert code == 2, raw
+        assert "positive integer" in err
+        assert "Traceback" not in err
+    monkeypatch.delenv("EQLARGE_BUDGET_NODES")
     for raw in ("-5", "0"):
-        p = run_cli(*subset, "--budget-nodes", raw)
-        assert p.returncode == 2, raw
-        assert "positive integer" in p.stderr
-        assert "Traceback" not in p.stderr
-    p = run_cli(*subset, "--budget-nodes", "5",
-                env_extra={"EQLARGE_BUDGET_NODES": "abc"})
-    assert p.returncode == 0
-    assert p.stdout.splitlines()[0] == "2"
+        code, _, err = run_cli(*subset, "--budget-nodes", raw)
+        assert code == 2, raw
+        assert "positive integer" in err
+        assert "Traceback" not in err
+    monkeypatch.setenv("EQLARGE_BUDGET_NODES", "abc")
+    code, out, _ = run_cli(*subset, "--budget-nodes", "5")
+    assert code == 0
+    assert out.splitlines()[0] == "2"
 
 
 def test_bad_subset_elements_exit_2():
     for elements in ("[0, \"a\"]", "[0, 1.5]", "5"):
-        p = run_cli("cover", "C4", "--subset",
-                    '{"elements": %s}' % elements)
-        assert p.returncode == 2, elements
-        assert "Traceback" not in p.stderr
-        assert '"elements"' in p.stderr
+        code, _, err = run_cli("cover", "C4", "--subset",
+                               '{"elements": %s}' % elements)
+        assert code == 2, elements
+        assert "Traceback" not in err
+        assert '"elements"' in err
 
 
 def test_over_deep_words_exit_2():
@@ -279,22 +353,22 @@ def test_over_deep_words_exit_2():
     deep = ("[x1,x2;100000]", "*".join(["x1"] * 3000),
             "(" * 3000 + "x1" + ")" * 3000)
     for word in deep:
-        p = run_cli("prob", "S3", word + "=#e")
-        assert p.returncode == 2, word[:20]
-        assert "Traceback" not in p.stderr
-        assert "levels deep" in p.stderr
+        code, _, err = run_cli("prob", "S3", word + "=#e")
+        assert code == 2, word[:20]
+        assert "Traceback" not in err
+        assert "levels deep" in err
     just_under = {
         f"[x1,x2;{cap - 1}]": "2/3 (~0.666667)",
         "*".join(["x1"] * cap): "2/3 (~0.666667)",
         "(" * cap + "x1" + ")" * cap: "1/6 (~0.166667)",
     }
     for word, fraction in just_under.items():
-        p = run_cli("prob", "S3", word + "=#e")
-        assert p.returncode == 0, word[:20]
-        assert p.stdout.strip() == fraction
+        code, out, _ = run_cli("prob", "S3", word + "=#e")
+        assert code == 0, word[:20]
+        assert out.strip() == fraction
     for word in (f"[x1,x2;{cap}]", "*".join(["x1"] * (cap + 1)),
                  "(" * (cap + 1) + "x1" + ")" * (cap + 1)):
-        assert run_cli("prob", "S3", word + "=#e").returncode == 2
+        assert run_cli("prob", "S3", word + "=#e")[0] == 2
 
 
 def test_oversized_numbers_in_words_exit_2():
@@ -306,11 +380,12 @@ def test_oversized_numbers_in_words_exit_2():
                  ["prob", "E2^2", "x1=g", "--const", f"g={digits}"],
                  ["prob", "S3", "x99999999999=#e"],
                  ["prob", "S3", f"x{MAX_VARIABLE + 1}=#e"]):
-        p = run_cli(*argv)
-        assert p.returncode == 2, argv[2][:24]
-        assert "Traceback" not in p.stderr
-    p = run_cli("prob", "S3", f"x1*x{MAX_VARIABLE}=x{MAX_VARIABLE}*x1")
-    assert p.returncode == 2 and "enumeration cap" in p.stderr
+        code, _, err = run_cli(*argv)
+        assert code == 2, argv[2][:24]
+        assert "Traceback" not in err
+    code, _, err = run_cli("prob", "S3",
+                           f"x1*x{MAX_VARIABLE}=x{MAX_VARIABLE}*x1")
+    assert code == 2 and "enumeration cap" in err
 
 
 def test_closed_stdout_exits_0():
@@ -403,36 +478,11 @@ def cli_argv(draw):
     return argv
 
 
-def run_in_process(argv):
-    """cli._main(argv) with small caps, output discarded: the exit code.
-
-    Products and powers past 4096 elements and searches past 2000 nodes
-    are declined with 3, which keeps every fuzzed command quick.
-    """
-    from eqlarge import cli, group
-
-    saved = group.INDEX_BOUND, os.environ.get("EQLARGE_BUDGET_NODES")
-    group.INDEX_BOUND = 4096
-    os.environ["EQLARGE_BUDGET_NODES"] = "2000"
-    try:
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            try:
-                return cli._main(argv)
-            except SystemExit as exc:
-                return exc.code
-    finally:
-        group.INDEX_BOUND = saved[0]
-        if saved[1] is None:
-            os.environ.pop("EQLARGE_BUDGET_NODES")
-        else:
-            os.environ["EQLARGE_BUDGET_NODES"] = saved[1]
-
-
 @given(cli_argv())
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_cli_exit_codes_are_total(argv):
-    assert run_in_process(argv) in (0, 1, 2, 3), argv
+    with small_caps():
+        assert run_cli(*argv)[0] in (0, 1, 2, 3), argv
 
 
 def test_unreadable_specs_exit_2():
@@ -440,17 +490,19 @@ def test_unreadable_specs_exit_2():
                  ["info", "@no-such-file.json"],
                  ["info", "@."],
                  ["cover", "C1", "--subset", '{"group": [], "elements": []}']):
-        assert run_in_process(argv) == 2, argv
+        with small_caps():
+            assert run_cli(*argv)[0] == 2, argv
 
 
 def test_oversized_specs_exit_3_quickly():
     for spec in OVERSIZED_SPECS:
         start = time.monotonic()
-        p = run_cli("catalog", spec)
-        assert p.returncode == 3, spec[:24]
-        assert "Traceback" not in p.stderr
-        assert "size cap" in p.stderr
+        code, _, err = run_cli("catalog", spec)
+        assert code == 3, spec[:24]
+        assert "Traceback" not in err
+        assert "size cap" in err
         assert time.monotonic() - start < 5.0, spec[:24]
     # the cap itself is allowed: a degree-2048 transposition is cheap
-    assert run_in_process(["info", "perm:2048:(1 2)"]) == 0
-    assert run_in_process(["info", "perm:2049:(1 2)"]) == 3
+    with small_caps():
+        assert run_cli("info", "perm:2048:(1 2)")[0] == 0
+        assert run_cli("info", "perm:2049:(1 2)")[0] == 3

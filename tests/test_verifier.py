@@ -6,7 +6,7 @@ import pytest
 from eqlarge import cli, verifier
 from eqlarge.catalog import catalog, catalog_upto, parse_group_list
 from eqlarge.errors import BudgetExceeded, UnknownCheck, UnknownQuestion
-from eqlarge.group import center
+from eqlarge.group import McWitness, Subset, center, from_cayley_table
 from eqlarge.verifier import (
     CHECKS,
     QUESTIONS,
@@ -216,3 +216,65 @@ def test_forced_hypotheses_report_the_least_witness(monkeypatch):
     Z = list(center(D4).indices())
     assert w["word"] == "x1*g*x2" and w["tuple"] == next(
         [a, b] for a in Z for b in Z if D4.mul(a, b) != D4.identity)
+
+
+def forced(check_id, G):
+    """A check that must fail: its witness."""
+    r = only(run_check(check_id, [G]))
+    assert (r.hypothesis_holds, r.conclusion_holds, r.margin) == (
+        True, False, None), check_id
+    return r.witness
+
+
+def test_forced_largeness_names_the_first_large_bucket(monkeypatch):
+    # every bucket k-large: the checks fail at their first bucket
+    monkeypatch.setattr(verifier, "_power_large", lambda *args: True)
+    assert forced("square_eq", S3) == {"value": 0, "fraction": "2/3"}
+    assert forced("comm_abelian", D4) == {"value": 0, "fraction": "5/8"}
+    assert forced("word_comm_abelian", C6) == {
+        "word": "x1^2*[x1,x2]", "value": 0, "fraction": "1/3"}
+    assert forced("comm_product", D4) == {
+        "word": "[x1,g]", "constants": [1], "value": 0, "fraction": "1/2"}
+    # an abelian group with c = e is exempt, so nothing is left to fail
+    for check_id in ("comm_abelian", "comm_product"):
+        r = only(run_check(check_id, [C6]))
+        assert not r.hypothesis_holds and r.witness is None
+    # only the buckets that miss the identity tuple are large: the ones
+    # before it are passed over within their bounds
+    monkeypatch.setattr(verifier, "_power_large",
+                        lambda sols, k: not sols.bits & 1)
+    assert forced("square_eq", D4) == {"value": 2, "fraction": "1/4"}
+    assert forced("comm_abelian", S3) == {"value": 3, "fraction": "1/4"}
+    assert forced("word_comm_abelian", D4) == {
+        "word": "x1^2*[x1,x2]", "value": 2, "fraction": "3/8"}
+    assert forced("comm_product", S3) == {
+        "word": "[x1,g]", "constants": [1], "value": 3, "fraction": "1/3"}
+
+
+def test_forced_bounds_name_the_first_bucket_past_them(monkeypatch):
+    # a control of 1 makes every bound 1/2
+    monkeypatch.setattr(verifier, "max_centralizer_index", lambda G: 1)
+    assert forced("bfc_bound", D4) == {
+        "word": "x1^2", "value": 0, "fraction": "3/4"}
+    monkeypatch.setattr(verifier, "center", Subset.full)
+    assert forced("center_by_finite", S3) == {
+        "word": "x1^2", "value": 0, "fraction": "2/3"}
+    # s = 0 makes both bounds 1/2; on S3 every [x1,x2] bucket is within
+    # it, so the first failure is at k = 2
+    monkeypatch.setattr(verifier, "mc_witness",
+                        lambda G, k: McWitness(k, (), 0))
+    assert forced("nilp_mc", D4) == {"k": 1, "value": 0, "fraction": "5/8"}
+    assert forced("nilp_mc", S3) == {"k": 2, "value": 0, "fraction": "3/4"}
+
+
+def test_noncentral_is_none_only_in_abelian_groups():
+    # S3 with 0 and 1 swapped: the identity is 1, and 0 is not central
+    swap = [1, 0, *range(2, S3.order)]
+    G = from_cayley_table([[swap[S3.mul(swap[a], swap[b])]
+                            for b in range(S3.order)]
+                           for a in range(S3.order)])
+    assert G.identity == 1
+    assert verifier._noncentral(G) == 0
+    assert verifier._noncentral(D4) == min(
+        g for g in range(D4.order) if not center(D4).contains(g))
+    assert verifier._noncentral(C6) is None
