@@ -200,7 +200,7 @@ def _from_file(path):
     table = data["table"]
     names = data.get("names")
     label = data.get("label", "@" + path)
-    return from_cayley_table(table, names=names, label=label, validate=True)
+    return from_cayley_table(table, names=names, label=label)
 
 
 _CYCLES_RE = re.compile(r"\(([^()]*)\)")

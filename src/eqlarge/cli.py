@@ -297,9 +297,8 @@ def _cmd_verify(args):
         for cid in check_ids:
             if cid not in verifier.CHECKS:
                 raise UnknownCheck(f"no check named {cid!r}")
-    verifier.set_seed(args.seed)
     t0 = time.perf_counter()
-    results = verifier.run_suite(groups, check_ids)
+    results = verifier.run_suite(groups, check_ids, args.seed)
     print(f"elapsed: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     summary = verifier.suite_summary(results)
     rows = [verifier.result_to_dict(r) for r in results]

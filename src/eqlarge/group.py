@@ -162,8 +162,7 @@ class Group:
 class TableGroup(Group):
     """Group backed by an explicit multiplication table."""
 
-    def __init__(self, table, names=None, label="G", validate=True,
-                 assoc_bound=VALIDATION_BOUND):
+    def __init__(self, table, names=None, label="G", validate=True):
         super().__init__()
         rows = tuple(tuple(int(v) for v in row) for row in table)
         n = len(rows)
@@ -188,7 +187,7 @@ class TableGroup(Group):
         if validate:
             self._check_latin()
         self.inverses = self._find_inverses()
-        if validate and n <= assoc_bound:
+        if validate and n <= VALIDATION_BOUND:
             self._check_associative()
 
     def _find_identity(self):
@@ -476,8 +475,8 @@ class Homomorphism:
         return f"<Hom {self.source.label} -> {self.target.label}>"
 
 
-def from_cayley_table(table, names=None, label="G", validate=True):
-    return TableGroup(table, names=names, label=label, validate=validate)
+def from_cayley_table(table, names=None, label="G"):
+    return TableGroup(table, names=names, label=label)
 
 
 def _check_permutation(perm, degree):
@@ -724,14 +723,20 @@ def derived_subgroup(G):
     return subgroup_generated(G, gens)
 
 
-def is_2_engel(G):
-    """True when [[x,y],y] is trivial for all x, y."""
+def _engel_pair(G):
+    """The least (x, y) in product order with [[x,y],y] not trivial, or
+    None when there is none."""
     e = G.identity
     for x in range(G.order):
         for y in range(G.order):
             if G.comm(G.comm(x, y), y) != e:
-                return False
-    return True
+                return x, y
+    return None
+
+
+def is_2_engel(G):
+    """True when [[x,y],y] is trivial for all x, y."""
+    return _engel_pair(G) is None
 
 
 def _centralizer_indices(G):
@@ -893,7 +898,7 @@ class McWitness:
     s: int
 
 
-def mc_witness(G, k, subset_cap=MC_SUBSET_CAP):
+def mc_witness(G, k):
     """Witness sets for levels 0..k-1 of the central quotient tower."""
     if k < 1:
         raise OrderBound("need k >= 1")
@@ -910,9 +915,9 @@ def mc_witness(G, k, subset_cap=MC_SUBSET_CAP):
         for size in range(len(non_central) + 1):
             for combo in itertools.combinations(non_central, size):
                 examined += 1
-                if examined > subset_cap:
+                if examined > MC_SUBSET_CAP:
                     raise OrderBound(
-                        f"witness subset search exceeds cap {subset_cap}")
+                        f"witness subset search exceeds cap {MC_SUBSET_CAP}")
                 acc = full
                 for g in combo:
                     acc &= cmask[g]

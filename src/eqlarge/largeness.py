@@ -53,6 +53,8 @@ class SearchBudget:
 
 
 DEFAULT_BUDGET = SearchBudget()
+# intersection tests naive_is_k_large may make, order**(k-1)
+NAIVE_BUDGET = 10 ** 6
 
 
 class _Sentinel:
@@ -352,7 +354,7 @@ def largeness_report(G, X, budget=DEFAULT_BUDGET):
     )
 
 
-def naive_is_k_large(G, X, k, budget=10 ** 6):
+def naive_is_k_large(G, X, k):
     """Definition-chasing check that every k left translates of X meet.
 
     Fixing the first translator to the identity is harmless: translating
@@ -361,8 +363,8 @@ def naive_is_k_large(G, X, k, budget=10 ** 6):
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if G.order ** (k - 1) > budget:
-        raise BudgetExceeded(f"{G.order}**{k - 1} exceeds {budget}")
+    if G.order ** (k - 1) > NAIVE_BUDGET:
+        raise BudgetExceeded(f"{G.order}**{k - 1} exceeds {NAIVE_BUDGET}")
     masks = [0] * G.order
     for g in range(G.order):
         m = 0

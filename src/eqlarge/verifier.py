@@ -5,6 +5,8 @@ all (vacuous otherwise), whether the conclusion held on every instance it
 generated, and where meaningful a minimal margin: the gap between an upper
 bound and the measured fraction, as an exact Fraction.  Checks never weaken
 on failure; a false conclusion surfaces as passed=False with a witness.
+Each check yields one case per instance and _verdict turns the cases into
+its CheckResult.
 
 The open-question searches at the bottom hunt for counterexample
 configurations nobody has ruled out.  Each yields the candidates the fast
@@ -22,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -31,6 +34,7 @@ from .group import (
     ProductGroup,
     Subset,
     _centralizer_indices,
+    _engel_pair,
     automorphism_group,
     center,
     centralizer,
@@ -73,7 +77,6 @@ __all__ = [
     "run_suite",
     "run_search",
     "result_to_dict",
-    "set_seed",
     "suite_summary",
 ]
 
@@ -99,26 +102,36 @@ class CheckResult:
 @dataclass(frozen=True)
 class CheckSpec:
     check_id: str
-    summary: str
     run: object
 
 
-def _result(check_id, G, hyp, concl, margin=None, witness=None):
-    return CheckResult(check_id, G.label, hyp, concl, margin, witness)
+def _verdict(check_id, G, cases):
+    """The one way a check becomes a CheckResult.  cases yields a
+    (margin, witness) pair for each instance whose hypothesis holds: margin
+    is bound - measured, or None when the instance has no bound, and
+    witness is None when the conclusion held.  The hypothesis holds once a
+    case is given, and the margin is the least one given.  The first
+    witness fails the check, with no margin; the cases after it are not
+    drawn."""
+    hyp = False
+    margin = None
+    for m, witness in cases:
+        if witness is not None:
+            return CheckResult(check_id, G.label, True, False, None, witness)
+        hyp = True
+        if m is not None:
+            margin = m if margin is None else min(margin, m)
+    return CheckResult(check_id, G.label, hyp, True, margin, None)
 
 
-_SEED = 0
-
-
-def set_seed(seed):
-    """Key the per-check sampling streams; the default 0 is what the test
-    suite pins its frozen expectations against."""
-    global _SEED
-    _SEED = int(seed)
+# the sampling seed of the run_check call in progress
+_seed = ContextVar("seed", default=0)
 
 
 def _rng(check_id, G):
-    return random.Random(f"{_SEED}:{check_id}:{G.label}")
+    """The sampling stream of one check on one group, keyed by the seed;
+    seed 0 is what the test suite pins its frozen expectations against."""
+    return random.Random(f"{_seed.get()}:{check_id}:{G.label}")
 
 
 def _divisors(n):
@@ -172,20 +185,23 @@ def _by_value(G, text, constants=None):
     return next(_slices(G, text, (), constants))
 
 
-def _bounded(check_id, G, instances, k=None):
-    """The shared scan of the bounded-fraction checks: each instance is
-    (bound, solution set, witness fields).  The hypothesis holds once an
-    instance is given, and the margin is the least bound - fraction.  The
-    first instance whose fraction passes its bound, or that is k-large when
-    k is given, fails the check with its fields and its fraction."""
-    margin = None
+def _case(bound, mu, fields, large=False):
+    """The case of a fraction mu held to bound: its margin, or the fields
+    with the fraction as a witness when mu passes the bound or the solution
+    set is large."""
+    if mu > bound or large:
+        return None, {**fields, "fraction": str(mu)}
+    return bound - mu, None
+
+
+def _bounded(instances, k=None):
+    """The cases of the bounded-fraction checks, one per instance (bound,
+    solution set, witness fields); with k given, a k-large solution set
+    fails its instance too."""
     for bound, sols, fields in instances:
         mu = sols.fraction()
-        if mu > bound or (k is not None and _power_large(sols, k)):
-            return _result(check_id, G, True, False, None,
-                           {**fields, "fraction": str(mu)})
-        margin = bound - mu if margin is None else min(margin, bound - mu)
-    return _result(check_id, G, margin is not None, True, margin)
+        yield _case(bound, mu, fields,
+                    mu <= bound and k is not None and _power_large(sols, k))
 
 
 def _noncentral(G):
@@ -197,73 +213,69 @@ def _noncentral(G):
 # --- counting facts ---------------------------------------------------------
 
 
+def _failing_divisors(bad):
+    """The one case of a check that lists every divisor it fails at."""
+    return [(None, {"failing_divisors": bad} if bad else None)]
+
+
 def check_frobenius(G):
     """Each divisor d of the order divides the number of solutions of
     x^d = e."""
     counts = _order_counts(G)
-    bad = [d for d, c in counts.items() if c % d != 0]
-    witness = {"failing_divisors": bad} if bad else None
-    return _result("frobenius", G, True, not bad, None, witness)
+    return _verdict("frobenius", G, _failing_divisors(
+        [d for d, c in counts.items() if c % d != 0]))
 
 
 def check_miller_bound(G):
     """A non-abelian group has at most 3/4 of its elements of order
     dividing 2."""
-    hyp = not is_abelian(G)
-    if not hyp:
-        return _result("miller_bound", G, False, True)
-    mu = solution_set(G, "x1^2=#e").fraction()
-    bound = Fraction(3, 4)
-    return _result("miller_bound", G, True, mu <= bound, bound - mu)
+    if is_abelian(G):
+        return _verdict("miller_bound", G, ())
+    return _verdict("miller_bound", G, _bounded(
+        [(Fraction(3, 4), solution_set(G, "x1^2=#e"), {})]))
 
 
 def check_laffey_p(G):
     """If p divides the order but the group is not a p-group, at most
     p/(p+1) of the elements satisfy x^p = e."""
     primes = _prime_factors(G.order)
-    hyp = len(primes) >= 2
-    if not hyp:
-        return _result("laffey_p", G, False, True)
-    margin = min(Fraction(p, p + 1) - solution_set(G, f"x1^{p}=#e").fraction()
-                 for p in primes)
-    return _result("laffey_p", G, True, margin >= 0, margin)
+    if len(primes) < 2:
+        return _verdict("laffey_p", G, ())
+    return _verdict("laffey_p", G, _bounded(
+        (Fraction(p, p + 1), solution_set(G, f"x1^{p}=#e"), {"p": p})
+        for p in primes))
 
 
 def check_iiyori_yamaki(G):
     """Whenever x^d = e has exactly d solutions, those solutions form a
     subgroup."""
     orders = [G.element_order(g) for g in range(G.order)]
-    bad = []
-    seen = False
+    exact = {}
     for d in _divisors(G.order):
         sols = [g for g in range(G.order) if d % orders[g] == 0]
         if len(sols) == d:
-            seen = True
-            if not is_subgroup(G, sols):
-                bad.append(d)
-    witness = {"failing_divisors": bad} if bad else None
-    return _result("iiyori_yamaki", G, seen, not bad, None, witness)
+            exact[d] = sols
+    if not exact:
+        return _verdict("iiyori_yamaki", G, ())
+    return _verdict("iiyori_yamaki", G, _failing_divisors(
+        [d for d, sols in exact.items() if not is_subgroup(G, sols)]))
 
 
 def check_erdos_turan(G):
     """The fraction of commuting pairs equals classes over order."""
     mu = solution_set(G, "[x1,x2]=#e").fraction()
     expected = commuting_probability(G)
-    ok = mu == expected
-    witness = None if ok else {"measured": str(mu),
-                               "class_ratio": str(expected)}
-    return _result("erdos_turan", G, True, ok, Fraction(0, 1) if ok else None,
-                   witness)
+    return _verdict("erdos_turan", G, [
+        (Fraction(0, 1), None) if mu == expected else
+        (None, {"measured": str(mu), "class_ratio": str(expected)})])
 
 
 def check_gustafson_58(G):
     """A non-abelian group has commuting probability at most 5/8."""
-    hyp = not is_abelian(G)
-    if not hyp:
-        return _result("gustafson_58", G, False, True)
-    cp = commuting_probability(G)
-    bound = Fraction(5, 8)
-    return _result("gustafson_58", G, True, cp <= bound, bound - cp)
+    if is_abelian(G):
+        return _verdict("gustafson_58", G, ())
+    return _verdict("gustafson_58", G, [
+        _case(Fraction(5, 8), commuting_probability(G), {})])
 
 
 # --- covers of small subsets ------------------------------------------------
@@ -285,23 +297,18 @@ def _some_subsets(G, rng, how_many):
 def check_two_generic_threshold(G):
     """A proper nonempty subset of size m in a group of order n with
     (n-m)(n-m-1) < n-1 needs at most two translates to cover."""
-    if G.order < 2:
-        return _result("two_generic_threshold", G, False, True)
-    rng = _rng("two_generic_threshold", G)
     n = G.order
-    hyp_any = False
-    for X in _some_subsets(G, rng, 200):
-        m = X.size
-        if m == 0 or m == n:
-            continue
-        if (n - m) * (n - m - 1) >= n - 1:
-            continue
-        hyp_any = True
-        k, _sel = cover_number(G, X)
-        if k > 2:
-            return _result("two_generic_threshold", G, True, False, None,
-                           {"subset": list(X.indices()), "cover": k})
-    return _result("two_generic_threshold", G, hyp_any, True)
+
+    def cases():
+        for X in _some_subsets(G, _rng("two_generic_threshold", G), 200):
+            m = X.size
+            if (n - m) * (n - m - 1) >= n - 1:
+                continue
+            k, _sel = cover_number(G, X)
+            yield None, ({"subset": list(X.indices()), "cover": k}
+                         if k > 2 else None)
+
+    return _verdict("two_generic_threshold", G, cases())
 
 
 def check_sqrt2n_bound(G):
@@ -309,16 +316,16 @@ def check_sqrt2n_bound(G):
     of at least sqrt(n/2): in integers, 2(n-m)^2 >= n."""
     n = G.order
     exp = exponent(G)
-    hyp_any = False
-    for ell in range(1, 13):
-        if ell % exp == 0:
-            continue
-        hyp_any = True
-        m = solution_set(G, f"x1^{ell}=#e").count
-        if 2 * (n - m) * (n - m) < n:
-            return _result("sqrt2n_bound", G, True, False, None,
-                           {"l": ell, "solutions": m})
-    return _result("sqrt2n_bound", G, hyp_any, True)
+
+    def cases():
+        for ell in range(1, 13):
+            if ell % exp == 0:
+                continue
+            m = solution_set(G, f"x1^{ell}=#e").count
+            yield None, ({"l": ell, "solutions": m}
+                         if 2 * (n - m) * (n - m) < n else None)
+
+    return _verdict("sqrt2n_bound", G, cases())
 
 
 def check_measure_lemma(G):
@@ -326,25 +333,25 @@ def check_measure_lemma(G):
     fraction above 1 - 1/k forces every k translates to meet."""
     rng = _rng("measure_lemma", G)
     n = G.order
-    hyp_any = False
-    for _ in range(40):
-        bits = rng.getrandbits(n) & ((1 << n) - 1)
-        if bits == 0:
-            continue
-        X = Subset(G, bits)
-        m = X.size
-        mu = Fraction(m, n)
-        hyp_any = True
-        k, _sel = cover_number(G, X)
-        if mu < Fraction(1, k):
-            return _result("measure_lemma", G, True, False, None,
-                           {"subset_size": m, "cover": k})
-        L, _c = largeness_number(G, X)
-        for k2 in range(1, 7):
-            if mu > 1 - Fraction(1, k2) and not at_least(L, k2):
-                return _result("measure_lemma", G, True, False, None,
-                               {"subset_size": m, "k": k2})
-    return _result("measure_lemma", G, hyp_any, True)
+
+    def cases():
+        for _ in range(40):
+            bits = rng.getrandbits(n) & ((1 << n) - 1)
+            if bits == 0:
+                continue
+            X = Subset(G, bits)
+            m = X.size
+            mu = Fraction(m, n)
+            k, _sel = cover_number(G, X)
+            if mu < Fraction(1, k):
+                yield None, {"subset_size": m, "cover": k}
+            L, _c = largeness_number(G, X)
+            k2 = next((k2 for k2 in range(1, 7)
+                       if mu > 1 - Fraction(1, k2) and not at_least(L, k2)),
+                      None)
+            yield None, None if k2 is None else {"subset_size": m, "k": k2}
+
+    return _verdict("measure_lemma", G, cases())
 
 
 def check_subgroup_lemma(G):
@@ -355,28 +362,28 @@ def check_subgroup_lemma(G):
     for _ in range(3):
         g = rng.randrange(G.order)
         subs.append(subgroup_generated(G, [g]))
-    hyp_any = False
-    for H in subs:
-        hsize = H.size
-        if hsize == G.order:
-            continue
-        k = G.order // hsize
-        for _ in range(5):
-            bits = rng.getrandbits(G.order) & ((1 << G.order) - 1)
-            if bits == 0 or bits == (1 << G.order) - 1:
+
+    def cases():
+        for H in subs:
+            hsize = H.size
+            if hsize == G.order:
                 continue
-            X = Subset(G, bits)
-            L, _c = largeness_number(G, X)
-            ell = L // k
-            if ell < 1:
-                continue
-            hyp_any = True
-            LH, _ch = restrict_largeness(G, X, H)
-            if not at_least(LH, ell):
-                return _result("subgroup_lemma", G, True, False, None,
-                               {"subgroup_size": hsize,
-                                "subset": list(X.indices())})
-    return _result("subgroup_lemma", G, hyp_any, True)
+            k = G.order // hsize
+            for _ in range(5):
+                bits = rng.getrandbits(G.order) & ((1 << G.order) - 1)
+                if bits == 0 or bits == (1 << G.order) - 1:
+                    continue
+                X = Subset(G, bits)
+                L, _c = largeness_number(G, X)
+                ell = L // k
+                if ell < 1:
+                    continue
+                LH, _ch = restrict_largeness(G, X, H)
+                yield None, (None if at_least(LH, ell) else
+                             {"subgroup_size": hsize,
+                              "subset": list(X.indices())})
+
+    return _verdict("subgroup_lemma", G, cases())
 
 
 # --- bounded conjugacy and the center ---------------------------------------
@@ -405,7 +412,7 @@ def _bounded_word_check(check_id, G, k_value, exponent_of):
                     if sols.count != total:
                         yield bound, sols, {"word": text, "value": c}
 
-    return _bounded(check_id, G, instances())
+    return _verdict(check_id, G, _bounded(instances()))
 
 
 def check_bfc_bound(G):
@@ -434,21 +441,20 @@ def check_central_identity(G):
     Z = list(center(G).indices())
     gvals = sorted({G.identity, G.order - 1, _noncentral(G)} - {None})
     family = [("[x1,g]", 1), ("x1^2*g", 1), ("x1*g*x2", 2)]
-    hyp_any = False
-    for text, nvars in family:
-        broken = None       # depends on the word only: g is set to e
-        for g in gvals:
-            for c, sols in _by_value(G, text, {"g": g}).items():
-                if not _power_large(sols, 2):
-                    continue
-                hyp_any = True
-                if broken is None:
-                    broken = _first_nontrivial(G, text, Z, nvars)
-                if broken:
-                    return _result("central_identity", G, True, False,
-                                   None, {"word": text, "g": g,
-                                          "value": c, "tuple": broken})
-    return _result("central_identity", G, hyp_any, True)
+
+    def cases():
+        for text, nvars in family:
+            broken = None       # depends on the word only: g is set to e
+            for g in gvals:
+                for c, sols in _by_value(G, text, {"g": g}).items():
+                    if not _power_large(sols, 2):
+                        continue
+                    if broken is None:
+                        broken = _first_nontrivial(G, text, Z, nvars)
+                    yield None, ({"word": text, "g": g, "value": c,
+                                  "tuple": broken} if broken else None)
+
+    return _verdict("central_identity", G, cases())
 
 
 def _first_nontrivial(G, text, elements, nvars):
@@ -467,25 +473,18 @@ def check_center_gcd(G):
     """x1^a * x2^b = c holding 2-largely forces the central exponent to
     divide gcd(a, b); failing that, the equation misses half the pairs."""
     zexp = _central_exponent(G)
-    hyp_any = False
-    margins = []
-    for a, b in [(2, 2), (2, 4), (3, 3), (4, 6)]:
-        d = math.gcd(a, b)
-        for c, sols in _by_value(G, f"x1^{a}*x2^{b}").items():
-            if _power_large(sols, 2):
-                hyp_any = True
-                if d % zexp != 0:
-                    return _result("center_gcd", G, True, False, None,
-                                   {"powers": [a, b], "value": c})
-            if d % zexp != 0:
-                hyp_any = True
-                mu = sols.fraction()
-                margins.append(Fraction(1, 2) - mu)
-                if mu > Fraction(1, 2):
-                    return _result("center_gcd", G, True, False, None,
-                                   {"powers": [a, b], "value": c,
-                                    "fraction": str(mu)})
-    return _result("center_gcd", G, hyp_any, True, min(margins, default=None))
+
+    def cases():
+        for a, b in [(2, 2), (2, 4), (3, 3), (4, 6)]:
+            divides = math.gcd(a, b) % zexp == 0
+            for c, sols in _by_value(G, f"x1^{a}*x2^{b}").items():
+                fields = {"powers": [a, b], "value": c}
+                if _power_large(sols, 2):
+                    yield None, None if divides else fields
+                if not divides:
+                    yield _case(Fraction(1, 2), sols.fraction(), fields)
+
+    return _verdict("center_gcd", G, cases())
 
 
 # --- order two and order three ----------------------------------------------
@@ -500,37 +499,32 @@ def check_square_eq(G):
     identity, x^2 = c misses a quarter of the group and is never
     4-large."""
     exempt = _exp2_abelian(G)
-    return _bounded("square_eq", G, (
+    return _verdict("square_eq", G, _bounded((
         (Fraction(3, 4), sols, {"value": c})
         for c, sols in _by_value(G, "x1^2").items()
-        if not (exempt and c == G.identity)), 4)
+        if not (exempt and c == G.identity)), 4))
 
 
 def check_xaxb(G):
     """Solutions of x*a*x = b are exactly the solutions of (a*x)^2 = a*b;
     unless the group is abelian of exponent dividing 2 with a = b, they
     fill at most 3/4 of the group."""
-    hyp_any = False
-    margins = []
     exp2_abelian = _exp2_abelian(G)
     # both sides bucket x by b, the second as a^-1*(a*x)^2 = b
     sides = zip(_slices(G, "x1*a*x1", ("a",)),
                 _slices(G, "a^-1*(a*x1)^2", ("a",)))
-    for a, (left, right) in enumerate(sides):
-        for b in range(G.order):
-            sols = left.get(b)
-            if sols != right.get(b):
-                return _result("xaxb", G, True, False, None,
-                               {"a": a, "b": b})
-            if exp2_abelian and a == b:
-                continue
-            hyp_any = True
-            mu = Fraction(sols.count if sols else 0, G.order)
-            margins.append(Fraction(3, 4) - mu)
-            if mu > Fraction(3, 4):
-                return _result("xaxb", G, True, False, None,
-                               {"a": a, "b": b, "fraction": str(mu)})
-    return _result("xaxb", G, hyp_any, True, min(margins, default=None))
+
+    def cases():
+        for a, (left, right) in enumerate(sides):
+            for b in range(G.order):
+                sols = left.get(b)
+                if sols != right.get(b):
+                    yield None, {"a": a, "b": b}
+                if not (exp2_abelian and a == b):
+                    mu = Fraction(sols.count if sols else 0, G.order)
+                    yield _case(Fraction(3, 4), mu, {"a": a, "b": b})
+
+    return _verdict("xaxb", G, cases())
 
 
 def _cube_solutions(G):
@@ -540,31 +534,30 @@ def _cube_solutions(G):
 def check_cube_7large_engel(G):
     """If x^3 = e is 7-large, both-sided iterated commutators of length two
     collapse: [[x,y],y] = e everywhere."""
-    sols = _cube_solutions(G)
-    if not _power_large(sols, 7):
-        return _result("cube_7large_engel", G, False, True)
-    return _result("cube_7large_engel", G, True, is_2_engel(G))
+    if not _power_large(_cube_solutions(G), 7):
+        return _verdict("cube_7large_engel", G, ())
+    pair = _engel_pair(G)
+    return _verdict("cube_7large_engel", G, [
+        (None, None if pair is None else {"x": pair[0], "y": pair[1]})])
 
 
 def check_cube_2large_exp3(G):
     """If [[x,y],y] = e holds everywhere and x^3 = e is 2-large, the
     exponent divides 3."""
-    if not is_2_engel(G):
-        return _result("cube_2large_exp3", G, False, True)
-    sols = _cube_solutions(G)
-    if not _power_large(sols, 2):
-        return _result("cube_2large_exp3", G, False, True)
-    return _result("cube_2large_exp3", G, True, 3 % exponent(G) == 0)
+    if not is_2_engel(G) or not _power_large(_cube_solutions(G), 2):
+        return _verdict("cube_2large_exp3", G, ())
+    exp = exponent(G)
+    return _verdict("cube_2large_exp3", G, [
+        (None, None if 3 % exp == 0 else {"exponent": exp})])
 
 
 def check_cube_67(G):
     """If the exponent does not divide 3, x^3 = e misses at least a
     seventh of the group."""
     if 3 % exponent(G) == 0:
-        return _result("cube_67", G, False, True)
-    mu = _cube_solutions(G).fraction()
-    bound = Fraction(6, 7)
-    return _result("cube_67", G, True, mu <= bound, bound - mu)
+        return _verdict("cube_67", G, ())
+    return _verdict("cube_67", G, _bounded(
+        [(Fraction(6, 7), _cube_solutions(G), {})]))
 
 
 # --- commutator equations ---------------------------------------------------
@@ -589,21 +582,21 @@ def check_comm_product(G):
             for g2, by_value in zip(g2vals, row):
                 yield "[x1,g]*[x2,h]", [g1, g2], by_value
 
-    return _bounded("comm_product", G, (
+    return _verdict("comm_product", G, _bounded((
         (Fraction(1, 2), sols, {"word": text, "constants": gs, "value": c})
         for text, gs, by_value in words()
         for c, sols in by_value.items()
-        if not (all(zen.contains(g) for g in gs) and c == G.identity)), 2)
+        if not (all(zen.contains(g) for g in gs) and c == G.identity)), 2))
 
 
 def check_comm_abelian(G):
     """[x,y] = c is 4-large only in the abelian case with c = e; otherwise
     it misses a quarter of the pairs."""
     abelian = is_abelian(G)
-    return _bounded("comm_abelian", G, (
+    return _verdict("comm_abelian", G, _bounded((
         (Fraction(3, 4), sols, {"value": c})
         for c, sols in _by_value(G, "[x1,x2]").items()
-        if not (abelian and c == G.identity)), 4)
+        if not (abelian and c == G.identity)), 4))
 
 
 def check_word_comm_abelian(G):
@@ -624,7 +617,7 @@ def check_word_comm_abelian(G):
                     yield Fraction(3, 4), sols, {"word": full_text,
                                                  "value": c}
 
-    return _bounded("word_comm_abelian", G, instances(), 4)
+    return _verdict("word_comm_abelian", G, _bounded(instances(), 4))
 
 
 def check_conj_comm(G):
@@ -636,52 +629,51 @@ def check_conj_comm(G):
         for g in cl:
             cls_of[g] = cl
     index = _centralizer_indices(G)
-    hyp_any = False
     pairs = itertools.product(range(G.order), repeat=2)
-    for (g, h), by_value in zip(pairs, _slices(G, "[g,h^x1]", ("g", "h"))):
-        k = min(index[g], index[h])
-        commuting = by_value.get(G.identity)
-        ok, _ = is_k_large(G, Subset(G, commuting.bits if commuting else 0),
-                           k)
-        if not ok:
-            continue
-        hyp_any = True
-        for a in cls_of[g]:
-            for b in cls_of[h]:
-                if G.comm(a, b) != G.identity:
-                    return _result("conj_comm", G, True, False, None,
-                                   {"g": g, "h": h, "a": a, "b": b})
-    return _result("conj_comm", G, hyp_any, True)
+
+    def cases():
+        for (g, h), by_value in zip(pairs,
+                                    _slices(G, "[g,h^x1]", ("g", "h"))):
+            k = min(index[g], index[h])
+            commuting = by_value.get(G.identity)
+            ok, _ = is_k_large(
+                G, Subset(G, commuting.bits if commuting else 0), k)
+            if ok:
+                yield None, next(
+                    ({"g": g, "h": h, "a": a, "b": b}
+                     for a in cls_of[g] for b in cls_of[h]
+                     if G.comm(a, b) != G.identity), None)
+
+    return _verdict("conj_comm", G, cases())
 
 
 def check_triple_comm(G):
     """[[x,g],h] = c holding 2k-largely with k the index of the
     centralizer of h kills the triple commutator everywhere; the variant
     with the variable in the middle needs c central."""
-    hyp_any = False
     zen = center(G)
     index = _centralizer_indices(G)
     pairs = itertools.product(range(G.order), repeat=2)
     sides = zip(_slices(G, "[[x1,g],h]", ("g", "h")),
                 _slices(G, "[[g,x1],h]", ("g", "h")))
-    for (g, h), (left, middle) in zip(pairs, sides):
-        need = 2 * index[h]
-        for side, by_value in (("left", left), ("middle", middle)):
-            for c, sols in by_value.items():
-                if side == "middle" and not zen.contains(c):
-                    continue
-                if not _power_large(sols, need):
-                    continue
-                hyp_any = True
-                # a witness is the least x where the word is not e
-                ones = by_value.get(G.identity)
-                rest = ((1 << G.order) - 1) & ~(ones.bits if ones else 0)
-                if rest:
-                    a = (rest & -rest).bit_length() - 1
-                    return _result("triple_comm", G, True, False, None,
-                                   {"side": side, "g": g, "h": h,
-                                    "value": c, "witness": a})
-    return _result("triple_comm", G, hyp_any, True)
+
+    def cases():
+        for (g, h), (left, middle) in zip(pairs, sides):
+            need = 2 * index[h]
+            for side, by_value in (("left", left), ("middle", middle)):
+                for c, sols in by_value.items():
+                    if side == "middle" and not zen.contains(c):
+                        continue
+                    if not _power_large(sols, need):
+                        continue
+                    # a witness is the least x where the word is not e
+                    ones = by_value.get(G.identity)
+                    rest = ((1 << G.order) - 1) & ~(ones.bits if ones else 0)
+                    yield None, ({"side": side, "g": g, "h": h, "value": c,
+                                  "witness": (rest & -rest).bit_length() - 1}
+                                 if rest else None)
+
+    return _verdict("triple_comm", G, cases())
 
 
 # --- nilpotency -------------------------------------------------------------
@@ -704,7 +696,7 @@ def check_nilp_mc(G):
                 if not (cls is not None and cls <= k and c == G.identity):
                     yield bound, sols, {"k": k, "value": c}
 
-    return _bounded("nilp_mc", G, instances())
+    return _verdict("nilp_mc", G, _bounded(instances()))
 
 
 def check_supercomm_const(G):
@@ -716,7 +708,7 @@ def check_supercomm_const(G):
     is the identity."""
     cls = nilpotency_class(G)
     if cls is None:
-        return _result("supercomm_const", G, False, True)
+        return _verdict("supercomm_const", G, ())
 
     def instances():
         yield "[x1,x2]", None, 0, _by_value(G, "[x1,x2]")
@@ -729,18 +721,16 @@ def check_supercomm_const(G):
             for h in range(G.order):
                 yield "[[x1,g],h]", {"g": g, "h": h}, 2, next(nested)
 
-    hyp_any = False
-    for text, consts, nparams, by_value in instances():
-        need = max(2 ** (cls - nparams), 1)
-        for c, sols in by_value.items():
-            if not _power_large(sols, need):
-                continue
-            hyp_any = True
-            if c != G.identity:
-                return _result("supercomm_const", G, True, False, None,
-                               {"word": text, "constants": consts,
-                                "value": c})
-    return _result("supercomm_const", G, hyp_any, True)
+    def cases():
+        for text, consts, nparams, by_value in instances():
+            need = max(2 ** (cls - nparams), 1)
+            for c, sols in by_value.items():
+                if _power_large(sols, need):
+                    yield None, (None if c == G.identity else
+                                 {"word": text, "constants": consts,
+                                  "value": c})
+
+    return _verdict("supercomm_const", G, cases())
 
 
 def check_nilpotent_identity(G):
@@ -748,23 +738,22 @@ def check_nilpotent_identity(G):
     2**k-largely holds identically."""
     cls = nilpotency_class(G)
     if cls is None:
-        return _result("nilpotent_identity", G, False, True)
+        return _verdict("nilpotent_identity", G, ())
     need = 2 ** cls
     nc = _noncentral(G)
     gval = G.identity if nc is None else nc
     family = [("x1^2", None), ("x1^3", None), ("[x1,x2]", None),
               ("[x1,g]", {"g": gval})]
-    hyp_any = False
-    for text, consts in family:
-        for c, sols in _by_value(G, text, consts).items():
-            if not _power_large(sols, need):
-                continue
-            hyp_any = True
-            if sols.count != G.order ** sols.arity:
-                return _result("nilpotent_identity", G, True, False, None,
-                               {"word": text, "value": c,
-                                "count": sols.count})
-    return _result("nilpotent_identity", G, hyp_any, True)
+
+    def cases():
+        for text, consts in family:
+            for c, sols in _by_value(G, text, consts).items():
+                if _power_large(sols, need):
+                    yield None, (None if sols.count == G.order ** sols.arity
+                                 else {"word": text, "value": c,
+                                       "count": sols.count})
+
+    return _verdict("nilpotent_identity", G, cases())
 
 
 def check_nilpotent_exponent(G):
@@ -772,19 +761,18 @@ def check_nilpotent_exponent(G):
     forces c = e and exponent dividing n."""
     cls = nilpotency_class(G)
     if cls is None:
-        return _result("nilpotent_exponent", G, False, True)
+        return _verdict("nilpotent_exponent", G, ())
     need = 2 ** cls
     exp = exponent(G)
-    hyp_any = False
-    for n in range(1, 13):
-        for c, sols in _by_value(G, f"x1^{n}").items():
-            if not _power_large(sols, need):
-                continue
-            hyp_any = True
-            if c != G.identity or n % exp != 0:
-                return _result("nilpotent_exponent", G, True, False, None,
-                               {"n": n, "value": c})
-    return _result("nilpotent_exponent", G, hyp_any, True)
+
+    def cases():
+        for n in range(1, 13):
+            for c, sols in _by_value(G, f"x1^{n}").items():
+                if _power_large(sols, need):
+                    yield None, (None if c == G.identity and n % exp == 0
+                                 else {"n": n, "value": c})
+
+    return _verdict("nilpotent_exponent", G, cases())
 
 
 # --- automorphisms ----------------------------------------------------------
@@ -793,7 +781,8 @@ def check_nilpotent_exponent(G):
 def check_autocomm(G):
     """If some automorphism in the acting group moves some element, the
     fixed-pair fraction is at most 3/4 and the fixed-pair set is not
-    4-large."""
+    4-large.  The one check that names a witness when it passes: the
+    degree of every action."""
     H = Subset.full(G)
     variants = [("trivial", (trivial_action(G))),
                 ("inner", inner_automorphisms(G))]
@@ -814,62 +803,48 @@ def check_autocomm(G):
         margins.append(Fraction(3, 4) - report.degree)
         ok4, _ = is_k_large(report.fixed_pairs.parent, report.fixed_pairs, 4)
         if report.degree > Fraction(3, 4) or ok4:
-            return _result("autocomm", G, True, False, None,
-                           {"variant": name, "degree": str(report.degree)})
-    return _result("autocomm", G, hyp_any, True, min(margins, default=None),
-                   {"degrees": degrees})
+            return CheckResult("autocomm", G.label, True, False, None,
+                               {"variant": name,
+                                "degree": str(report.degree)})
+    return CheckResult("autocomm", G.label, hyp_any, True,
+                       min(margins, default=None), {"degrees": degrees})
 
 
 # --- registry ---------------------------------------------------------------
 
 CHECKS = {}
-for _fn, _summary in [
-    (check_frobenius, "divisor counts of x^d = e"),
-    (check_miller_bound, "involution fraction in non-abelian groups"),
-    (check_laffey_p, "x^p = e fraction outside p-groups"),
-    (check_iiyori_yamaki, "exact-count solution sets are subgroups"),
-    (check_erdos_turan, "commuting pairs equal classes over order"),
-    (check_gustafson_58, "commuting probability bound 5/8"),
-    (check_two_generic_threshold, "small complements force 2-generic"),
-    (check_sqrt2n_bound, "power-equation gap of sqrt(n/2)"),
-    (check_measure_lemma, "covers force measure and conversely"),
-    (check_subgroup_lemma, "largeness restricts to subgroups"),
-    (check_bfc_bound, "non-identity word fractions, centralizer control"),
-    (check_center_by_finite, "non-identity word fractions, center control"),
-    (check_central_identity, "2-large word equations on central tuples"),
-    (check_center_gcd, "power-pair equations and the central exponent"),
-    (check_square_eq, "x^2 = c misses a quarter"),
-    (check_xaxb, "x*a*x = b via squares of a*x"),
-    (check_cube_7large_engel, "7-large cubes force the Engel law"),
-    (check_cube_2large_exp3, "Engel law plus 2-large cubes force exp 3"),
-    (check_cube_67, "x^3 = e misses a seventh"),
-    (check_comm_product, "commutator products with constants miss half"),
-    (check_comm_abelian, "[x,y] = c misses a quarter"),
-    (check_word_comm_abelian, "word times fresh commutator"),
-    (check_conj_comm, "largely commuting conjugates force class commuting"),
-    (check_triple_comm, "triple commutators with two constants"),
-    (check_nilp_mc, "iterated commutators and centralizer witnesses"),
-    (check_supercomm_const, "commutator shapes equal to a constant"),
-    (check_nilpotent_identity, "2^k-large equations hold identically"),
-    (check_nilpotent_exponent, "2^k-large power equations fix the exponent"),
-    (check_autocomm, "moved elements cap the fixed-pair fraction"),
+for _fn in [
+    check_frobenius, check_miller_bound, check_laffey_p, check_iiyori_yamaki,
+    check_erdos_turan, check_gustafson_58, check_two_generic_threshold,
+    check_sqrt2n_bound, check_measure_lemma, check_subgroup_lemma,
+    check_bfc_bound, check_center_by_finite, check_central_identity,
+    check_center_gcd, check_square_eq, check_xaxb, check_cube_7large_engel,
+    check_cube_2large_exp3, check_cube_67, check_comm_product,
+    check_comm_abelian, check_word_comm_abelian, check_conj_comm,
+    check_triple_comm, check_nilp_mc, check_supercomm_const,
+    check_nilpotent_identity, check_nilpotent_exponent, check_autocomm,
 ]:
     _id = _fn.__name__.removeprefix("check_")
-    CHECKS[_id] = CheckSpec(_id, _summary, _fn)
+    CHECKS[_id] = CheckSpec(_id, _fn)
 
 
-def run_check(check_id, groups):
+def run_check(check_id, groups, seed=0):
+    """One check over each group, its sampling streams keyed by seed."""
     if check_id not in CHECKS:
         raise UnknownCheck(f"no check named {check_id!r}; "
                            f"known: {', '.join(sorted(CHECKS))}")
-    return [CHECKS[check_id].run(G) for G in groups]
+    token = _seed.set(int(seed))
+    try:
+        return [CHECKS[check_id].run(G) for G in groups]
+    finally:
+        _seed.reset(token)
 
 
-def run_suite(groups, check_ids=None):
+def run_suite(groups, check_ids=None, seed=0):
     ids = list(CHECKS) if check_ids is None else list(check_ids)
     results = []
     for cid in ids:
-        results.extend(run_check(cid, groups))
+        results.extend(run_check(cid, groups, seed))
     results.sort(key=lambda r: (r.check_id, r.group_label))
     return results
 
@@ -954,7 +929,7 @@ def _search_gamma_k(groups):
 
 def _recheck(X, k):
     """naive_is_k_large's verdict on X, or None past its budget
-    (|parent|**(k-1) <= 10**6)."""
+    (|parent|**(k-1) <= NAIVE_BUDGET)."""
     try:
         return naive_is_k_large(X.parent, X, k)
     except BudgetExceeded:

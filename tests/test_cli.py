@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqlarge import cli, group, verifier
+from eqlarge.catalog import catalog
 from eqlarge.verifier import CHECKS
 from eqlarge.words import MAX_VARIABLE, MAX_WORD_HEIGHT
 
@@ -18,21 +20,13 @@ BUDGET_TRAP = {"elements": [2, 3, 8, 12, 14, 15, 18, 19]}
 
 
 def run_cli(*argv):
-    """The command run in this process: (returncode, stdout, stderr).
-
-    verify --seed sets the verifier's module-level seed, which is put back
-    so that later tests still sample at seed 0.
-    """
+    """The command run in this process: (returncode, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
-    seed = verifier._SEED
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli._main(list(argv))
-            except SystemExit as exc:   # argparse: usage errors and --help
-                code = exc.code
-    finally:
-        verifier.set_seed(seed)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli._main(list(argv))
+        except SystemExit as exc:   # argparse: usage errors and --help
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -247,6 +241,16 @@ def test_verify_json_is_deterministic():
     doc = json.loads(first[1])
     assert doc["summary"]["failed"] == 0
     assert doc["summary"]["total"] == len(doc["results"])
+
+
+def test_verify_seed_ends_with_the_command(capsys):
+    argv = ["verify", "--checks", "measure_lemma", "--groups", "S3",
+            "--seed", "3"]
+    assert cli._main(argv) == 0
+    capsys.readouterr()
+    # later checks in this process sample at seed 0 again
+    assert verifier._rng("measure_lemma", catalog("S3")).random() == \
+        random.Random("0:measure_lemma:S3").random()
 
 
 def test_verify_bounded_checks_over_catalog_24():

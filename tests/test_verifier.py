@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -265,6 +266,96 @@ def test_forced_bounds_name_the_first_bucket_past_them(monkeypatch):
                         lambda G, k: McWitness(k, (), 0))
     assert forced("nilp_mc", D4) == {"k": 1, "value": 0, "fraction": "5/8"}
     assert forced("nilp_mc", S3) == {"k": 2, "value": 0, "fraction": "3/4"}
+
+
+# (check, group, verifier attributes patched to force a failure, witness)
+FORCED = [
+    ("frobenius", "S3", {"_order_counts": lambda G: {1: 1, 2: 3, 3: 3, 6: 6}},
+     {"failing_divisors": [2]}),
+    ("miller_bound", "C2", {"is_abelian": lambda G: False},
+     {"fraction": "1"}),
+    ("laffey_p", "C2", {"_prime_factors": lambda n: [2, 3]},
+     {"p": 2, "fraction": "1"}),
+    ("iiyori_yamaki", "S3", {"is_subgroup": lambda G, s: False},
+     {"failing_divisors": [1, 3, 6]}),
+    ("erdos_turan", "S3", {"commuting_probability": lambda G: Fraction(1)},
+     {"measured": "1/2", "class_ratio": "1"}),
+    ("gustafson_58", "C2", {"is_abelian": lambda G: False},
+     {"fraction": "1"}),
+    ("two_generic_threshold", "S3", {"cover_number": lambda G, X: (3, ())},
+     {"subset": [0, 1, 2, 3], "cover": 3}),
+    ("sqrt2n_bound", "C2", {"exponent": lambda G: 13},
+     {"l": 2, "solutions": 2}),
+    ("measure_lemma", "S3", {"cover_number": lambda G, X: (3, ())},
+     {"subset_size": 1, "cover": 3}),
+    ("subgroup_lemma", "S3",
+     {"restrict_largeness": lambda G, X, H: (0, None)},
+     {"subgroup_size": 2, "subset": [1, 2, 3, 4, 5]}),
+    ("central_identity", "D4", {"_power_large": lambda *args: True},
+     {"word": "x1*g*x2", "g": 0, "value": 0, "tuple": [0, 2]}),
+    ("center_gcd", "D4", {"_power_large": lambda *args: True},
+     {"powers": [3, 3], "value": 0}),
+    ("center_gcd", "C2", {"_power_large": lambda *args: False,
+                          "_central_exponent": lambda G: 5},
+     {"powers": [2, 2], "value": 0, "fraction": "1"}),
+    ("xaxb", "C2", {"_exp2_abelian": lambda G: False},
+     {"a": 0, "b": 0, "fraction": "1"}),
+    ("cube_7large_engel", "S3", {"_power_large": lambda *args: True},
+     {"x": 1, "y": 2}),
+    ("cube_2large_exp3", "C2", {"_power_large": lambda *args: True},
+     {"exponent": 2}),
+    ("cube_67", "C3", {"exponent": lambda G: 2}, {"fraction": "1"}),
+    ("conj_comm", "S3", {"is_k_large": lambda *args: (True, None)},
+     {"g": 1, "h": 1, "a": 1, "b": 2}),
+    ("triple_comm", "S3", {"is_k_large": lambda *args: (True, None)},
+     {"side": "left", "g": 1, "h": 1, "value": 0, "witness": 2}),
+    ("supercomm_const", "D4", {"_power_large": lambda *args: True},
+     {"word": "[x1,x2]", "constants": None, "value": 2}),
+    ("nilpotent_identity", "D4", {"_power_large": lambda *args: True},
+     {"word": "x1^2", "value": 0, "count": 6}),
+    ("nilpotent_exponent", "D4", {"_power_large": lambda *args: True},
+     {"n": 1, "value": 0}),
+    ("autocomm", "S3", {"is_k_large": lambda *args: (True, None)},
+     {"variant": "inner", "degree": "1/2"}),
+]
+
+
+@pytest.mark.parametrize("check_id, label, patches, witness", FORCED,
+                         ids=[f"{c}-{g}" for c, g, _, _ in FORCED])
+def test_forced_failures_name_their_witness(monkeypatch, check_id, label,
+                                            patches, witness):
+    for name, value in patches.items():
+        monkeypatch.setattr(verifier, name, value)
+    assert forced(check_id, catalog(label)) == witness
+
+
+def test_every_failure_under_forced_hypotheses_has_a_witness(monkeypatch):
+    monkeypatch.setattr(verifier, "is_k_large", lambda *args: (True, None))
+    monkeypatch.setattr(verifier, "cover_number", lambda G, X: (3, ()))
+    monkeypatch.setattr(verifier, "restrict_largeness",
+                        lambda *args: (0, None))
+    res = run_suite(parse_group_list("C2,C3,C6,S3,D4,Q8"))
+    failed = [r for r in res if not r.passed]
+    assert {"cube_2large_exp3", "cube_7large_engel", "measure_lemma",
+            "subgroup_lemma", "two_generic_threshold"} <= {
+        r.check_id for r in failed}
+    assert [(r.check_id, r.group_label) for r in failed
+            if r.witness is None] == []
+
+
+def test_sampled_checks_at_other_seeds_are_pinned():
+    # the sha256 of the results of the checks that draw from _rng, as
+    # verify --seed prints them, over catalog<=16
+    ids = ["two_generic_threshold", "measure_lemma", "subgroup_lemma"]
+    pins = {3: "7f27fa84836987a0ae22dd2511db79a2"
+               "d9ef50d6c3d01845f0d79db46270c323",
+            11: "c097a3b7597c0a588d7b00965ef198c8"
+                "9b89afebcde4bb879c0b73a0d413648e"}
+    groups = catalog_upto(16)
+    for seed, digest in pins.items():
+        rows = [result_to_dict(r) for r in run_suite(groups, ids, seed)]
+        text = json.dumps(rows, sort_keys=True, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, seed
 
 
 def test_noncentral_is_none_only_in_abelian_groups():
