@@ -295,8 +295,10 @@ def product_identity_holds(G, factors, xbar, ybar, phi, samples=50, seed=0,
     F = prod(factors) and F(y) the value with y_i in place of each x_i,
     over random columns of assignments and unbound constants.
 
-    F and prod(phi) compile once each, so compile_words serves both again
-    when the same words are checked in another group."""
+    F runs once, over the columns at x, at y and at y*x stacked into
+    3 * samples rows, the constants repeated to match, and prod(phi) once
+    at x.  Both compile once, so compile_words serves them again when the
+    same words are checked in another group."""
     factors = [expand_engel(w) for w in factors]
     rng = random.Random(seed)
     bits = _mask((*xbar, *ybar))
@@ -314,11 +316,14 @@ def product_identity_holds(G, factors, xbar, ybar, phi, samples=50, seed=0,
     for xi, yi in zip(xbar, ybar):
         at_y[xi] = x[yi]
         at_yx[xi] = ops.mul(x[yi], x[xi])
-    F = compile_words(factors, product=True)
-    (fx,), (fy,), (fyx,) = (run_program(F, ops, columns, samples, consts)
-                            for columns in (x, at_y, at_yx))
+    stacked = list(map(ops.join, zip(x, at_y, at_yx)))
+    tripled = {name: v if isinstance(v, int) else v * 3
+               for name, v in consts.items()}
+    (f,) = run_program(compile_words(factors, product=True), ops, stacked,
+                       3 * samples, tripled)
     (tail,) = run_program(compile_words(phi, product=True), ops, x, samples,
                           consts)
+    fx, fy, fyx = f[:samples], f[samples:2 * samples], f[2 * samples:]
     return fyx == ops.mul(ops.mul(fx, fy), tail)
 
 

@@ -20,9 +20,15 @@ refuses variables past x1024 (MAX_VARIABLE).
 Evaluation does not recurse.  compile_words turns a list of words into a
 straight-line program, one slot per structurally distinct node, and
 run_program runs it over whole columns of assignments, one column per
-variable.  A column is bytes for a table-backed group of order at most
-32, paged above 16: each step is a few C-level calls over the whole
-column.  An inverse is one bytes.translate.  A product or commutator
+variable.  A product of many words is folded by a balanced tree, so the
+program stays shallow.  Its steps are grouped by level (a load is level
+0, any other step one more than its operands' highest) and op; after
+the loads, each group is one kernel call over its operand columns
+joined end to end, whose result is cut back into one column per step,
+and a column is freed after the group that reads it last.  Every kernel
+is elementwise.  A column is bytes for a table-backed group of order at
+most 32, paged above 16: each kernel is a few C-level calls over the
+whole column.  An inverse is one bytes.translate.  A product or commutator
 splits the key a << w | b, w = 4 bits an element up to order 16 and 5
 above, into a low byte and a page a >> (8 - w).  Up to order 16 there is
 one page and the low byte goes through one 256-byte table.  Above it
@@ -43,8 +49,10 @@ from __future__ import annotations
 
 import re
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from operator import getitem, is_
 
 from .errors import (
@@ -443,19 +451,25 @@ def resolve_constant(G, name, constants=None):
     raise UnboundConstant(f"constant {name!r} has no binding")
 
 
-# Steps of a compiled program.  Step i writes slot i; the operands of the
-# steps from _INV on are earlier slots.
+# Steps of a compiled program.  The loads and the identity read no slot;
+# the steps from _INV on read slots of lower levels.
 _LOAD_VAR, _LOAD_CONST, _IDENTITY, _INV, _MUL, _COMM = range(6)
 
 
 class Program:
-    """Root words compiled into a straight-line program: parallel arrays
-    of step codes and operand slots, the slots to drop after each step
-    (bit 1 the left operand, bit 2 the right), the variable indices and
-    constant names that the loads number, and the root slots."""
+    """Root words compiled into a straight-line program of phases: the
+    loads, then one group of steps per (level, op), where a load has
+    level 0 and any other step one more than its operands' highest.
+    Step i writes slot i; ops, left and right are parallel arrays of its
+    code and operand slots (a load's left numbers its variable or
+    constant name; an inverse reads its left operand twice).  Phase p
+    writes the slots starts[p]:starts[p + 1] and then frees the slots
+    frees[free_starts[p]:free_starts[p + 1]], those it reads last or, if
+    no step reads them, writes.  variables and names are what the loads
+    number, and roots the root slots, never freed."""
 
-    __slots__ = ("ops", "left", "right", "drops", "variables", "names",
-                 "roots")
+    __slots__ = ("ops", "left", "right", "starts", "frees", "free_starts",
+                 "variables", "names", "roots")
 
 
 # (product, roots, program) of the programs compile_words keeps, least
@@ -471,8 +485,9 @@ def compile_words(roots, product=False):
     expanded first.  Powers unroll into products by repeated squaring and
     u^v becomes u*[u,v].  Steps follow a left-to-right walk of the words,
     so a missing variable or constant fails at the load a tree walk would
-    reach first.  With product=True the roots are folded into a running
-    product as each is finished, and that product is the one root.
+    reach first.  With product=True the roots are folded, in their order,
+    by a balanced tree of products, which is the one root.  The steps are
+    then renumbered into phases (see Program).
 
     The last COMPILE_CACHE_SIZE programs are kept with their roots, and one
     is served again for the same product flag and the very same root
@@ -494,7 +509,9 @@ def compile_words(roots, product=False):
 
 def _compile(roots, product):
     """compile_words without its cache."""
-    ops, left, right = bytearray(), array("i"), array("i")
+    # the steps' codes, operand slots (an inverse names its one operand
+    # twice), and level << 3 | op, 0 for a load
+    ops, left, right, keys = bytearray(), array("i"), array("i"), array("i")
     variables, names = {}, {}
     done = {}       # id(node) -> slot, for nodes that roots keeps alive
     # (left << 32 | right) << 3 | op -> slot, so structurally equal nodes
@@ -511,13 +528,15 @@ def _compile(roots, product):
         ops.append(op)
         left.append(a)
         right.append(b)
+        keys.append(0 if op < _INV else
+                    ((max(keys[a], keys[b]) >> 3) + 1) << 3 | op)
         return slot
 
     def power(a, k):
         if k == 0:
             return emit(_IDENTITY)
         if k < 0:
-            a, k = emit(_INV, a), -k
+            a, k = emit(_INV, a, a), -k
         acc = None
         while True:
             if k & 1:
@@ -528,7 +547,7 @@ def _compile(roots, product):
             a = emit(_MUL, a, a)
 
     expansions = []     # Engel expansions, alive while their ids are keys
-    out, acc = [], None
+    out = []
     for root in roots:
         # (node, None) is still to expand; (node, children) is ready once
         # the children pushed above it are done
@@ -564,7 +583,7 @@ def _compile(roots, product):
             elif t is Prod:
                 slot = emit(_MUL, *s)
             elif t is Inv:
-                slot = emit(_INV, *s)
+                slot = emit(_INV, s[0], s[0])
             elif t is Var:
                 slot = emit(_LOAD_VAR, variables.setdefault(
                     w.index, len(variables)))
@@ -577,30 +596,62 @@ def _compile(roots, product):
             else:
                 slot = s[0]         # Engel: its expansion's slot
             done[id(w)] = slot
-        slot = done[id(root)]
-        if not product:
-            out.append(slot)
-        else:       # a fold step is no node, so it skips the table
-            acc = slot if acc is None else emit(_MUL, acc, slot, False)
+        out.append(done[id(root)])
     if product:
-        out = [emit(_IDENTITY) if acc is None else acc]
-    # walking back, the first read of a slot met is its last use; the
-    # caller reads the roots
-    used = bytearray(len(ops))
-    for slot in out:
-        used[slot] = 1
-    drops = bytearray(len(ops))
-    for i in range(len(ops) - 1, -1, -1):
-        if ops[i] >= _INV and not used[left[i]]:
-            used[left[i]] = 1
-            drops[i] = 1
-        if ops[i] >= _MUL and not used[right[i]]:
-            used[right[i]] = 1
-            drops[i] |= 2
-    prog = Program()
-    prog.ops, prog.left, prog.right, prog.drops = ops, left, right, drops
+        # a balanced fold, adjacent pairs first, adds log2(len(roots))
+        # levels where a running product would add one per root; a fold
+        # step is no node, so it skips the table
+        while len(out) > 1:
+            pairs = [emit(_MUL, a, b, False)
+                     for a, b in zip(out[::2], out[1::2])]
+            out = pairs + out[2 * len(pairs):]
+        out = out or [emit(_IDENTITY)]
+    done.clear()        # the walk's tables go before the schedule's
+    slot_of.clear()
+    prog = _schedule(ops, left, right, keys, out)
     prog.variables, prog.names = tuple(variables), tuple(names)
-    prog.roots = tuple(out)
+    return prog
+
+
+def _schedule(ops, left, right, keys, roots):
+    """The Program of compiled steps renumbered into phases: the loads in
+    slot order, then one group per (level, op) key, in slot order within
+    a group.  An operand has a lower level than its reader, so an earlier
+    phase writes it."""
+    n = len(ops)
+    order = sorted(range(n), key=keys.__getitem__)      # stable
+    # step s moves to slot new[s]; the loads' phase comes first, even when
+    # empty, then one phase per key
+    new, starts, key = [0] * n, [0], 0
+    for i, s in enumerate(order):
+        new[s] = i
+        if keys[s] != key:
+            key = keys[s]
+            starts.append(i)
+    starts.append(n)
+    loads = starts[1]
+    prog = Program()
+    prog.ops = bytearray(map(ops.__getitem__, order))
+    prog.left, prog.right = (
+        array("i", [side[s] for s in order[:loads]]
+              + [new[side[s]] for s in order[loads:]])
+        for side in (left, right))
+    prog.roots = tuple([new[r] for r in roots])
+    prog.starts = array("i", starts)
+    del new, order      # lists of an int object per step
+    # the slot of each slot's last reader, itself when nobody reads it and
+    # n for a root; the readers come in slot order
+    last = list(range(n))
+    for i, a, b in zip(range(loads, n), prog.left[loads:],
+                       prog.right[loads:]):
+        last[a] = last[b] = i
+    for r in prog.roots:
+        last[r] = n
+    # phase p frees the slots whose last reader it writes
+    ends = sorted(last)
+    prog.free_starts = array("i", [bisect_left(ends, b) for b in starts])
+    prog.frees = array("i", sorted(range(n), key=last.__getitem__)[
+        :prog.free_starts[-1]])
     return prog
 
 
@@ -647,6 +698,7 @@ class _PackedColumns:
     group and kept in G._packed."""
 
     column = bytes
+    join = b"".join
 
     def __init__(self, G):
         self.group = G
@@ -697,6 +749,10 @@ class _ListColumns:
     @staticmethod
     def fill(value, length):
         return [value] * length
+
+    @staticmethod
+    def join(columns):
+        return list(chain.from_iterable(columns))
 
 
 class _TableColumns(_ListColumns):
@@ -769,25 +825,24 @@ def run_program(program, ops, columns, length, constants=None):
     """The root value columns of a program over length rows, all of the
     column type of ops.
 
-    columns[i] is the column of x(i+1), a list or bytes of element
+    columns[i] is the column of x(i+1), a list or bytes of length element
     indices; constants maps a name to an element or to such a column.
-    Names resolve through resolve_constant, ``#`` literals first.  Each
-    column is dropped after its last use.
+    Names resolve through resolve_constant, ``#`` literals first.  The
+    loads run first, in slot order, so the first missing variable or
+    constant raises.  Each later phase is one kernel call over its steps'
+    operand columns joined end to end, its result cut back into one
+    column per step, and each column is dropped after the phase that
+    reads it last.
     """
-    G = ops.group
-    mul, inv, comm, column = ops.mul, ops.inv, ops.comm, ops.column
-    left, right, drops, names = (program.left, program.right, program.drops,
-                                 program.names)
-    vals = [None] * len(program.ops)
-    for i, op in enumerate(program.ops):
-        a = left[i]
-        if op == _MUL:
-            vals[i] = mul(vals[a], vals[right[i]])
-        elif op == _COMM:
-            vals[i] = comm(vals[a], vals[right[i]])
-        elif op == _INV:
-            vals[i] = inv(vals[a])
-        elif op == _LOAD_VAR:
+    G, column, fill = ops.group, ops.column, ops.fill
+    kernels = (None, None, None, ops.inv, ops.mul, ops.comm)
+    codes, left, right, starts, frees, free_starts = (
+        program.ops, program.left, program.right, program.starts,
+        program.frees, program.free_starts)
+    vals = [None] * len(codes)
+    for i in range(starts[1]):      # phase 0, the loads
+        op, a = codes[i], left[i]
+        if op == _LOAD_VAR:
             x = program.variables[a]
             if x >= len(columns):
                 raise ArityMismatch(
@@ -795,22 +850,36 @@ def run_program(program, ops, columns, length, constants=None):
                     f"{len(columns)} entries")
             vals[i] = column(columns[x])
         elif op == _LOAD_CONST:
-            name = names[a]
+            name = program.names[a]
             value = resolve_constant(G, name, constants)
             if not isinstance(value, int):
                 vals[i] = column(value)
             elif 0 <= value < G.order:
-                vals[i] = ops.fill(value, length)
+                vals[i] = fill(value, length)
             else:
                 raise UnboundConstant(
                     f"{name} = {value} outside 0..{G.order - 1}")
         else:
-            vals[i] = ops.fill(G.identity, length)
-        drop = drops[i]
-        if drop & 1:
-            vals[a] = None
-        if drop & 2:
-            vals[right[i]] = None
+            vals[i] = fill(G.identity, length)
+    read, join, step = vals.__getitem__, ops.join, length or 1
+    for p in range(len(starts) - 1):
+        b0, b1 = starts[p], starts[p + 1]
+        if p:
+            op = codes[b0]
+            kernel = kernels[op]
+            if b1 - b0 == 1:
+                a = vals[left[b0]]
+                vals[b0] = kernel(a) if op == _INV else \
+                    kernel(a, vals[right[b0]])
+            else:
+                a = join(map(read, left[b0:b1]))
+                out = kernel(a) if op == _INV else \
+                    kernel(a, join(map(read, right[b0:b1])))
+                # b1 - b0 columns, empty ones too when length is 0
+                vals[b0:b1] = [out[i:i + length]
+                               for i in range(0, (b1 - b0) * step, step)]
+        for i in frees[free_starts[p]:free_starts[p + 1]]:
+            vals[i] = None
     return [vals[r] for r in program.roots]
 
 

@@ -13,7 +13,7 @@ import random
 import weakref
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import reference_eval as ref
 from eqlarge.catalog import catalog, catalog_upto
@@ -24,6 +24,7 @@ from eqlarge.group import (
     direct_product,
     is_abelian,
 )
+from eqlarge.linearize import enumerate_sweep_shapes, linearize
 from eqlarge.probability import (
     _sets_by_value,
     solution_set,
@@ -41,11 +42,16 @@ from eqlarge.words import (
     Pow,
     Prod,
     Var,
+    _MappedColumns,
+    _PackedColumns,
+    _TableColumns,
+    column_ops,
     compile_words,
     evaluate,
     evaluate_product,
     parse_equation,
     parse_word,
+    run_program,
     word_arity,
 )
 
@@ -287,3 +293,55 @@ def test_the_compile_cache_is_bounded_and_keeps_the_recent(compiles):
     # the same roots with and without product are two programs
     assert len(compile_words(kept[:2]).roots) == 2
     assert len(compile_words(kept[:2], product=True).roots) == 1
+
+
+# one group of each column kind: bytes up to order 16, paged bytes up to
+# 32, a list gather through the table above 32, and a componentwise map
+COLUMN_KINDS = [(catalog("D4"), _PackedColumns),
+                (catalog("H3"), _PackedColumns),
+                (catalog("D17"), _TableColumns),
+                (BIG, _MappedColumns)]
+
+
+def interpreted(G, factors, columns, length, g=None):
+    """The product of the factors, row by row through the interpreter,
+    with g bound to its column's row when given."""
+    return [ref.evaluate_product(G, factors, [c[i] for c in columns],
+                                 g and {"g": g[i]})
+            for i in range(length)]
+
+
+@settings(PROPERTY, max_examples=12)
+@given(st.integers(min_value=0, max_value=600), values)
+@example(0, 0)
+@example(1, 1)
+@example(2, 2)
+@example(599, 3)
+@example(600, 4)
+def test_long_products_match_the_interpreter(count, seed):
+    rng = random.Random(seed)
+    factors = [random_word(rng, rng.randint(0, 3)) for _ in range(count)]
+    program = compile_words(factors, product=True)
+    length = 5
+    for G, kind in COLUMN_KINDS:
+        ops = column_ops(G)
+        assert type(ops) is kind
+        x1, x2, g = ([rng.randrange(G.order) for _ in range(length)]
+                     for _ in range(3))
+        (got,) = run_program(program, ops, [x1, x2], length, {"g": g})
+        assert list(got) == interpreted(G, factors, [x1, x2], length, g), \
+            (G.label, count)
+
+
+def test_the_heaviest_sweep_product_matches_the_interpreter():
+    # [[x1,x2],[x1,x3]] with x2 designated: 6,140 factors, the sweep's
+    # deepest and widest level groups
+    (_, v, xbar, ybar), = [s for s in enumerate_sweep_shapes()
+                           if s[0] == "[[x1,x2],[x1,x3]]" and s[2] == (1,)]
+    phi = linearize(v, xbar, ybar)
+    H3, rng, length = catalog("H3"), random.Random(5), 3
+    columns = [[rng.randrange(H3.order) for _ in range(length)]
+               for _ in range(4)]
+    (got,) = run_program(compile_words(phi, product=True), column_ops(H3),
+                         columns, length)
+    assert list(got) == interpreted(H3, phi, columns, length)

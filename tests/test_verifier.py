@@ -53,12 +53,12 @@ def test_gustafson_is_vacuous_on_abelian_groups():
 
 
 def test_frobenius_counts_on_s4():
-    r = only(run_check("frobenius", [catalog("S4")]))
-    assert r.passed if hasattr(r, "passed") else r.conclusion_holds
-    # d = 4 has exactly 16 solutions in S4 and 4 divides 16
-    counts = r.witness["counts"] if r.witness else None
-    if counts is not None:
-        assert counts.get(4, counts.get("4")) == 16
+    S4 = catalog("S4")
+    assert only(run_check("frobenius", [S4])).passed
+    # x^4 = e has exactly 16 solutions in S4, and d divides every count
+    counts = verifier._order_counts(S4)
+    assert counts[4] == 16
+    assert all(c % d == 0 for d, c in counts.items())
 
 
 def test_cube_bound_margin_on_s3():
