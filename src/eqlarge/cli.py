@@ -388,8 +388,10 @@ def _build_parser():
         if budget:
             sp.add_argument("--budget-nodes", type=_node_cap,
                             default=_default_nodes(),
-                            help="search node cap (default from "
-                                 "EQLARGE_BUDGET_NODES or 10^7)")
+                            help="node cap of each cover decision's "
+                                 "search; a least cover asks one decision "
+                                 "per k (default from EQLARGE_BUDGET_NODES "
+                                 "or 10^7)")
 
     sp = sub.add_parser("info", help="invariants of one group")
     sp.add_argument("group")

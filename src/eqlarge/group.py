@@ -152,9 +152,6 @@ class Group:
         a = _read_number(text, self.order - 1) if text.isdecimal() else None
         return a if str(a) == text else None
 
-    def elements(self):
-        return range(self.order)
-
     def __repr__(self):
         return f"<Group {self.label} order {self.order}>"
 
@@ -504,8 +501,7 @@ def cycle_name(perm):
     return "".join(parts) if parts else "e"
 
 
-def from_permutation_generators(degree, generators, label=None,
-                                cap=PERM_CLOSURE_CAP):
+def from_permutation_generators(degree, generators, label=None):
     """Closure of the generators under composition, identity first."""
     gens = [tuple(g) for g in generators]
     for g in gens:
@@ -519,9 +515,9 @@ def from_permutation_generators(degree, generators, label=None,
         for g in gens:
             q = tuple(p[g[i]] for i in range(degree))
             if q not in index:
-                if len(elems) >= cap:
-                    raise OrderBound(
-                        f"permutation closure exceeds cap {cap}")
+                if len(elems) >= PERM_CLOSURE_CAP:
+                    raise OrderBound(f"permutation closure exceeds cap "
+                                     f"{PERM_CLOSURE_CAP}")
                 index[q] = len(elems)
                 elems.append(q)
                 queue.append(q)

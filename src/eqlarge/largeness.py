@@ -4,14 +4,19 @@ A subset X of a finite group is k-generic when some k left translates of X
 cover the group, and k-large when every k left translates of X intersect.
 The two notions are complementary: X is k-large exactly when the complement
 of X is not k-generic.  Everything here works on int bitmasks, one bit per
-element, and the cover search is an exact branch and bound that always
+element, and the cover search is an exact depth-first search that always
 branches on the lowest uncovered element, which keeps results deterministic.
+
+The one question asked of the search is the k-decision.  The genericity
+number, the least k, is found by asking it at k = ceil(|G|/|Y|), the
+counting bound, and upward (iterative deepening), so a least cover is the
+certificate of the first yes.
 
 Two translates gY and hY cover G exactly when Y and g^-1*h*Y do, that is
 when s*Z misses Z for s = g^-1*h and the complement Z.  So k = 2 is decided
 by trying s = 0, 1, 2, ... in index order, each with |Z| lookups along row
-s, and the first s that works is the certificate.  The branch and bound
-serves k >= 3 and least covers.
+s, and the first s that works is the certificate.  The search serves
+k >= 3.
 
 Decisions are remembered per group, in G._decisions, keyed by the subset's
 bits: the largest k known to admit no cover and the smallest cover found.
@@ -116,13 +121,15 @@ GREEDY_SPAN = 16
 
 
 class _CoverSearch:
-    """Covers of G by left translates g*Y: a capped greedy cover first, then
-    an exact branch and bound when the greedy cover is too large.
+    """Whether G is covered by k left translates g*Y: a capped greedy cover
+    first, then a depth-first search when the greedy cover is too large.
 
     Distinct translators can give the same translate when Y is a union of
     right cosets, so the translates through each element are deduplicated
-    by mask.  A greedy packing of pairwise non-coverable elements gives the
-    lower bound; branch and bound closes the gap to the greedy cover.
+    by mask.  The search prunes by the counting bound alone.  A packing of
+    elements no translate covers two of adds nothing: the translators
+    through e form e*Y^-1, |Y| of them, and pairwise disjoint for packed
+    elements, so a packing never holds more than |G|/|Y| elements.
     """
 
     def __init__(self, G, Y, budget):
@@ -134,9 +141,6 @@ class _CoverSearch:
         self.nodes = 0
         self.mask_cache = {}
         self.through_cache = {}
-        self.best = None
-        self.best_sel = None
-        self.goal = None
 
     def translate_mask(self, g):
         m = self.mask_cache.get(g)
@@ -171,20 +175,6 @@ class _CoverSearch:
         return sorted(self.through(e),
                       key=lambda gm: (-(gm[1] & uncovered).bit_count(), gm[0]))
 
-    def packing_bound(self, uncovered, limit):
-        """Greedily pick elements no single translate covers twice; their
-        count bounds the cover size from below.  Stops past limit."""
-        count = 0
-        rem = uncovered
-        while rem:
-            e = (rem & -rem).bit_length() - 1
-            count += 1
-            if count > limit:
-                return count
-            for _, m in self.through(e):
-                rem &= ~m
-        return count
-
     def greedy(self):
         """A cover, not necessarily least.  Each step scores the translates
         through the lowest uncovered element e by e*y^-1 for about
@@ -207,59 +197,50 @@ class _CoverSearch:
             uncovered &= ~tmask(g)
         return tuple(chosen)
 
-    def search(self, k=None):
-        """A least cover when k is None, otherwise any cover by at most k
-        translates or None, as a tuple of translators."""
-        lb = -(-self.G.order // len(self.ylist))
-        goal = lb if k is None else k
-        if lb > goal:
-            return None
+    def search(self, k):
+        """A cover by at most k translates, as a tuple of translators, or
+        None: the greedy cover if it fits, else the first one found."""
         sel = self.greedy()
-        if len(sel) <= goal:
+        if len(sel) <= k:
             return sel
-        if k is None:
-            self.best, self.best_sel = len(sel), sel
-        else:
-            self.best, self.best_sel = k + 1, None
-        lb = max(lb, self.packing_bound(self.full, self.best - 1))
-        self.goal = lb if k is None else k
-        if lb < self.best:
-            self.dfs(self.full, [])
-        return self.best_sel
+        return self.dfs(self.full, [], k)
 
-    def dfs(self, uncovered, chosen):
-        """Keep a cover strictly smaller than best; stop at the goal."""
+    def dfs(self, uncovered, chosen, k):
+        """The first cover by at most k translates extending chosen."""
         if not uncovered:
-            if len(chosen) < self.best:
-                self.best = len(chosen)
-                self.best_sel = tuple(chosen)
-            return
+            return tuple(chosen)
         need = -(-uncovered.bit_count() // len(self.ylist))
-        if len(chosen) + need >= self.best:
-            return
+        if len(chosen) + need > k:
+            return None
         self.nodes += 1
         if self.nodes > self.budget.node_cap:
             raise BudgetExceeded(
                 f"cover search passed {self.budget.node_cap} nodes")
         for g, m in self.candidates(uncovered):
             chosen.append(g)
-            self.dfs(uncovered & ~m, chosen)
+            sel = self.dfs(uncovered & ~m, chosen, k)
             chosen.pop()
-            if self.best <= self.goal:
-                return
+            if sel is not None:
+                return sel
+        return None
 
 
 def cover_number(G, Y, budget=DEFAULT_BUDGET):
     """Least k with k left translates of Y covering G, with translators.
 
-    Raises EmptySubset for the empty set, which covers nothing.
+    Decides k-genericity at k = ceil(|G|/|Y|) and upward; every smaller k
+    is refuted when the first cover turns up, so it is a least one.  The
+    node cap bounds each decision's search.  Raises EmptySubset for the
+    empty set, which covers nothing.
     """
     if Y.size == 0:
         raise EmptySubset("the empty set admits no cover")
-    if Y.size == G.order:
-        return 1, (G.identity,)
-    sel = _CoverSearch(G, Y, budget).search()
-    return len(sel), sel
+    k = -(-G.order // Y.size)
+    while True:
+        generic, cert = is_k_generic(G, Y, k, budget)
+        if generic:
+            return k, cert.translators
+        k += 1
 
 
 def _two_cover(G, Y):
@@ -281,8 +262,8 @@ def is_k_generic(G, X, k, budget=DEFAULT_BUDGET):
     most k translators as the certificate.
 
     k = 2 is answered by scanning s for the least s with s*Z missing the
-    complement Z, with the certificate (e, s); k >= 3 by the branch and
-    bound, which keeps the first cover met within k.  An answer already
+    complement Z, with the certificate (e, s); k >= 3 by the search,
+    which keeps the first cover met within k.  An answer already
     known for X on G, at this k or by monotonicity from another k, is
     served from G._decisions, so its cover may be one found for a
     smaller k.

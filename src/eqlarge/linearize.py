@@ -199,13 +199,13 @@ def _prepare(v, xbar, ybar):
     return v, xbar, ybar
 
 
-def check_factor_condition(w, v, xbar, ybar, zbar=None):
+def check_factor_condition(w, v, xbar, ybar):
     """The structural condition every emitted factor must satisfy: same
     undesignated variables as v, x_i or its partner wherever v uses x_i,
     and at least one x and one y present.  Read off the var_bits masks."""
     vw, vv = w.var_bits, v.var_bits
     xmask = _mask(xbar)
-    zmask = vv & ~xmask if zbar is None else _mask(zbar)
+    zmask = vv & ~xmask
     partner = dict(zip(xbar, ybar))
     return ((vw ^ vv) & zmask == 0
             and all(vw >> x & 1 or vw >> y & 1 for x, y in partner.items()
@@ -213,7 +213,7 @@ def check_factor_condition(w, v, xbar, ybar, zbar=None):
             and vw & xmask != 0 and vw & _mask(ybar) != 0)
 
 
-def linearize(v, xbar, ybar, zbar=None, budget=DEFAULT_BUDGET):
+def linearize(v, xbar, ybar, budget=DEFAULT_BUDGET):
     """Factor list phi with v(..., y_i*x_i, ...) = v(x) * v(y) * prod(phi).
 
     Every returned factor passes check_factor_condition against (v, xbar,
@@ -227,7 +227,7 @@ def linearize(v, xbar, ybar, zbar=None, budget=DEFAULT_BUDGET):
                           "variables")
     phi = _Expander(dict(zip(xbar, ybar)), budget).expand(v)
     for w in phi:
-        if not check_factor_condition(w, v, xbar, ybar, zbar):
+        if not check_factor_condition(w, v, xbar, ybar):
             raise AssertionError(
                 f"construction emitted a bad factor for {to_text(v)}")
     return phi

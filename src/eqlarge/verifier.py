@@ -64,7 +64,6 @@ from .probability import (
     _sets_by_value,
     autocommutativity_degree,
     commuting_probability,
-    solution_set,
 )
 from .words import compile_words, parse_word, word_arity
 
@@ -232,7 +231,7 @@ def check_miller_bound(G):
     if is_abelian(G):
         return _verdict("miller_bound", G, ())
     return _verdict("miller_bound", G, _bounded(
-        [(Fraction(3, 4), solution_set(G, "x1^2=#e"), {})]))
+        [(Fraction(3, 4), _by_value(G, "x1^2")[G.identity], {})]))
 
 
 def check_laffey_p(G):
@@ -242,7 +241,7 @@ def check_laffey_p(G):
     if len(primes) < 2:
         return _verdict("laffey_p", G, ())
     return _verdict("laffey_p", G, _bounded(
-        (Fraction(p, p + 1), solution_set(G, f"x1^{p}=#e"), {"p": p})
+        (Fraction(p, p + 1), _by_value(G, f"x1^{p}")[G.identity], {"p": p})
         for p in primes))
 
 
@@ -263,7 +262,7 @@ def check_iiyori_yamaki(G):
 
 def check_erdos_turan(G):
     """The fraction of commuting pairs equals classes over order."""
-    mu = solution_set(G, "[x1,x2]=#e").fraction()
+    mu = _by_value(G, "[x1,x2]")[G.identity].fraction()
     expected = commuting_probability(G)
     return _verdict("erdos_turan", G, [
         (Fraction(0, 1), None) if mu == expected else
@@ -321,7 +320,7 @@ def check_sqrt2n_bound(G):
         for ell in range(1, 13):
             if ell % exp == 0:
                 continue
-            m = solution_set(G, f"x1^{ell}=#e").count
+            m = _by_value(G, f"x1^{ell}")[G.identity].count
             yield None, ({"l": ell, "solutions": m}
                          if 2 * (n - m) * (n - m) < n else None)
 
@@ -528,7 +527,7 @@ def check_xaxb(G):
 
 
 def _cube_solutions(G):
-    return solution_set(G, "x1^3=#e")
+    return _by_value(G, "x1^3")[G.identity]
 
 
 def check_cube_7large_engel(G):

@@ -212,7 +212,7 @@ def test_factor_condition_matches_the_set_oracle():
         _, v2, xbar2, ybar2, _ = shapes[(i + 1) % len(shapes)]
         for w in phi:
             for args in ((v, xbar, ybar), (v2, xbar2, ybar2),
-                         (v, ybar, xbar), (v, xbar, ybar, ())):
+                         (v, ybar, xbar)):
                 got = check_factor_condition(w, *args)
                 assert got == ref.factor_condition(w, *args), \
                     (text, to_text(w), args)
