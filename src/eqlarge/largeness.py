@@ -141,6 +141,7 @@ class _CoverSearch:
         self.nodes = 0
         self.mask_cache = {}
         self.through_cache = {}
+        self.greedy_cover = None
 
     def translate_mask(self, g):
         m = self.mask_cache.get(g)
@@ -199,10 +200,14 @@ class _CoverSearch:
 
     def search(self, k):
         """A cover by at most k translates, as a tuple of translators, or
-        None: the greedy cover if it fits, else the first one found."""
-        sel = self.greedy()
-        if len(sel) <= k:
-            return sel
+        None: the greedy cover if it fits, else the first one found.  The
+        greedy cover runs once per search object, and the node cap bounds
+        each call's DFS."""
+        if self.greedy_cover is None:
+            self.greedy_cover = self.greedy()
+        if len(self.greedy_cover) <= k:
+            return self.greedy_cover
+        self.nodes = 0
         return self.dfs(self.full, [], k)
 
     def dfs(self, uncovered, chosen, k):
@@ -230,14 +235,16 @@ def cover_number(G, Y, budget=DEFAULT_BUDGET):
 
     Decides k-genericity at k = ceil(|G|/|Y|) and upward; every smaller k
     is refuted when the first cover turns up, so it is a least one.  The
-    node cap bounds each decision's search.  Raises EmptySubset for the
-    empty set, which covers nothing.
+    decisions share one search, so the greedy cover runs once and each
+    mask is built once; the node cap bounds each decision's DFS.  Raises
+    EmptySubset for the empty set, which covers nothing.
     """
     if Y.size == 0:
         raise EmptySubset("the empty set admits no cover")
     k = -(-G.order // Y.size)
+    search = []
     while True:
-        generic, cert = is_k_generic(G, Y, k, budget)
+        generic, cert = _decide(G, Y, k, budget, search)
         if generic:
             return k, cert.translators
         k += 1
@@ -268,6 +275,13 @@ def is_k_generic(G, X, k, budget=DEFAULT_BUDGET):
     served from G._decisions, so its cover may be one found for a
     smaller k.
     """
+    return _decide(G, X, k, budget, [])
+
+
+def _decide(G, X, k, budget, search):
+    """is_k_generic, with search the list that holds X's _CoverSearch once
+    a decision builds it, so that one least cover's decisions share its
+    greedy cover and masks."""
     if k < 1:
         raise ValueError("k must be positive")
     if X.size == 0:
@@ -282,7 +296,9 @@ def is_k_generic(G, X, k, budget=DEFAULT_BUDGET):
     if k == 2:
         sel = _two_cover(G, X)
     else:
-        sel = _CoverSearch(G, X, budget).search(k)
+        if not search:
+            search.append(_CoverSearch(G, X, budget))
+        sel = search[0].search(k)
     if sel is None:
         G._decisions[X.bits] = (k, cover)
         return False, None

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import (
     BudgetExceeded,
@@ -289,11 +290,34 @@ def linearization_identity_holds(G, v, xbar, ybar, phi, samples=100, seed=0,
                                   constants)
 
 
+@cache
+def _residues(n):
+    """For an order n <= 256: the table of b mod n over the 256 byte
+    values, and the bytes from 256 - 256 mod n up, whose deletion leaves
+    (256 - 256 mod n) / n bytes on each residue."""
+    return bytes(b % n for b in range(256)), bytes(range(256 - 256 % n, 256))
+
+
+def _sample_column(rng, n, k):
+    """k element indices drawn uniformly below n.  Up to order 256 they
+    are random bytes with the biased top ones deleted and the rest taken
+    mod n, in a few C-level calls, drawn again until k are kept; above
+    it, a list from rng.choices."""
+    if n > 256:
+        return rng.choices(range(n), k=k)
+    table, drop = _residues(n)
+    out = rng.randbytes(k).translate(table, drop)
+    while len(out) < k:
+        out += rng.randbytes(k - len(out)).translate(table, drop)
+    return out
+
+
 def product_identity_holds(G, factors, xbar, ybar, phi, samples=50, seed=0,
                            constants=None):
     """Spot-check F(..., y_i*x_i, ...) = F(x) * F(y) * prod(phi)(x), with
     F = prod(factors) and F(y) the value with y_i in place of each x_i,
-    over random columns of assignments and unbound constants.
+    over random columns of assignments and unbound constants, each drawn
+    by _sample_column.
 
     F runs once, over the columns at x, at y and at y*x stacked into
     3 * samples rows, the constants repeated to match, and prod(phi) once
@@ -308,9 +332,9 @@ def product_identity_holds(G, factors, xbar, ybar, phi, samples=50, seed=0,
         names |= {c for c in word_constants(w) if not c.startswith("#")}
     consts = dict(constants or {})
     for name in sorted(names - consts.keys()):
-        consts[name] = rng.choices(range(G.order), k=samples)
+        consts[name] = _sample_column(rng, G.order, samples)
     ops = column_ops(G)
-    x = [ops.column(rng.choices(range(G.order), k=samples))
+    x = [ops.column(_sample_column(rng, G.order, samples))
          for _ in range(bits.bit_length())]
     at_y, at_yx = list(x), list(x)
     for xi, yi in zip(xbar, ybar):

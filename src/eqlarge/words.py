@@ -507,107 +507,107 @@ def compile_words(roots, product=False):
     return program
 
 
+# The node of the identity step, which x^0 and an empty product compile to
+_ONE = object()
+
+
+def _unrolled(w):
+    """The nodes a power of x stands for, its slot the last one's: x, then
+    the identity for x^0, else the Prod tree of repeated squaring of x (of
+    x^-1 below 0), whose walk makes the steps in the squaring's order."""
+    a, k = (Inv(w.base), -w.exp) if w.exp < 0 else (w.base, w.exp)
+    acc = None if k else _ONE
+    while k:
+        if k & 1:
+            acc = a if acc is None else Prod(acc, a)
+        k >>= 1
+        a = Prod(a, a) if k else a
+    return (w.base, acc)
+
+
 def _compile(roots, product):
-    """compile_words without its cache."""
+    """compile_words without its cache.  One left-to-right post-order walk
+    keeps bare nodes on its stack: a node whose children are not all
+    numbered pushes those above itself and is met again after them."""
     # the steps' codes, operand slots (an inverse names its one operand
     # twice), and level << 3 | op, 0 for a load
     ops, left, right, keys = bytearray(), array("i"), array("i"), array("i")
     variables, names = {}, {}
-    done = {}       # id(node) -> slot, for nodes that roots keeps alive
+    done = {}       # id(node) -> slot, for nodes that roots or also keep
     # (left << 32 | right) << 3 | op -> slot, so structurally equal nodes
     # share a slot; an int key takes half the memory of a tuple
     slot_of = {}
-
-    def emit(op, a=0, b=0, shared=True):
-        slot = len(ops)
-        if shared:
-            key = (a << 32 | b) << 3 | op
-            if key in slot_of:
-                return slot_of[key]
-            slot_of[key] = slot
-        ops.append(op)
-        left.append(a)
-        right.append(b)
-        keys.append(0 if op < _INV else
-                    ((max(keys[a], keys[b]) >> 3) + 1) << 3 | op)
-        return slot
-
-    def power(a, k):
-        if k == 0:
-            return emit(_IDENTITY)
-        if k < 0:
-            a, k = emit(_INV, a, a), -k
-        acc = None
-        while True:
-            if k & 1:
-                acc = a if acc is None else emit(_MUL, acc, a)
-            k >>= 1
-            if not k:
-                return acc
-            a = emit(_MUL, a, a)
-
-    expansions = []     # Engel expansions, alive while their ids are keys
+    # id(node) -> the nodes it stands for, its slot the last one's: an
+    # Engel expansion, u^v as u*[u,v], or a power unrolled
+    also = {}
     out = []
-    for root in roots:
-        # (node, None) is still to expand; (node, children) is ready once
-        # the children pushed above it are done
-        stack = [(root, None)]
+    for root in (_ONE,) if product and not roots else roots:
+        stack = [root]
         while stack:
-            w, kids = stack.pop()
-            if id(w) in done:
+            w = stack[-1]
+            slot = done.get(id(w))
+            if slot is not None:
+                stack.pop()
                 continue
             t = type(w)
-            if kids is None:
-                if t is Comm or t is Prod:
-                    kids = (w.left, w.right)
-                elif t is Inv:
-                    kids = (w.body,)
-                elif t is Pow:
-                    kids = (w.base,)
-                elif t is Conj:
-                    kids = (w.base, w.by)
-                elif t is Engel:
-                    kids = (expand_engel(w),)
-                    expansions.append(kids)
-                elif t is Var or t is Const:
-                    kids = ()
-                else:
-                    raise TypeError(f"not a word node: {w!r}")
-                if kids:
-                    stack.append((w, kids))
-                    stack.extend((k, None) for k in reversed(kids))
+            if t is Comm or t is Prod:
+                a, b = done.get(id(w.left)), done.get(id(w.right))
+                if a is None or b is None:
+                    stack += w.right, w.left
                     continue
-            s = [done[id(k)] for k in kids]
-            if t is Comm:
-                slot = emit(_COMM, *s)
-            elif t is Prod:
-                slot = emit(_MUL, *s)
+                op = _COMM if t is Comm else _MUL
             elif t is Inv:
-                slot = emit(_INV, s[0], s[0])
+                a = b = done.get(id(w.body))
+                if a is None:
+                    stack.append(w.body)
+                    continue
+                op = _INV
             elif t is Var:
-                slot = emit(_LOAD_VAR, variables.setdefault(
-                    w.index, len(variables)))
+                op, a, b = _LOAD_VAR, variables.setdefault(
+                    w.index, len(variables)), 0
             elif t is Const:
-                slot = emit(_LOAD_CONST, names.setdefault(w.name, len(names)))
-            elif t is Pow:
-                slot = power(s[0], w.exp)
-            elif t is Conj:
-                slot = emit(_MUL, s[0], emit(_COMM, *s))
+                op, a, b = _LOAD_CONST, names.setdefault(w.name, len(names)), 0
+            elif w is _ONE:
+                op, a, b = _IDENTITY, 0, 0
+            elif id(w) in also:
+                slot = done[id(w)] = done[id(also[id(w)][-1])]
+                stack.pop()
+                continue
             else:
-                slot = s[0]         # Engel: its expansion's slot
+                also[id(w)] = seq = (
+                    (expand_engel(w),) if t is Engel else
+                    (Prod(w.base, Comm(w.base, w.by)),) if t is Conj else
+                    _unrolled(w) if t is Pow else None)
+                if seq is None:
+                    raise TypeError(f"not a word node: {w!r}")
+                stack += reversed(seq)
+                continue
+            stack.pop()
+            key = (a << 32 | b) << 3 | op
+            slot = slot_of.setdefault(key, len(ops))
+            if slot == len(ops):
+                ops.append(op)
+                left.append(a)
+                right.append(b)
+                if op < _INV:
+                    keys.append(0)
+                else:
+                    a, b = keys[a], keys[b]
+                    keys.append(((a if a > b else b) | 7) + 1 | op)
             done[id(w)] = slot
-        out.append(done[id(root)])
-    if product:
-        # a balanced fold, adjacent pairs first, adds log2(len(roots))
-        # levels where a running product would add one per root; a fold
-        # step is no node, so it skips the table
-        while len(out) > 1:
-            pairs = [emit(_MUL, a, b, False)
-                     for a, b in zip(out[::2], out[1::2])]
-            out = pairs + out[2 * len(pairs):]
-        out = out or [emit(_IDENTITY)]
-    done.clear()        # the walk's tables go before the schedule's
-    slot_of.clear()
+        out.append(slot)
+    del done, slot_of, also     # the walk's tables go before the schedule's
+    # a balanced fold, adjacent pairs first, adds log2(len(roots)) levels
+    # where a running product would add one per root; a fold step is no
+    # node, so it shares no slot
+    while product and len(out) > 1:
+        a, b = out[::2], out[1::2]
+        out = [*range(len(ops), len(ops) + len(b)), *a[len(b):]]
+        ops.extend(bytes((_MUL,)) * len(b))
+        left.extend(a[:len(b)])
+        right.extend(b)
+        keys.extend([((a if a > b else b) | 7) + 1 | _MUL for a, b in zip(
+            map(keys.__getitem__, a), map(keys.__getitem__, b))])
     prog = _schedule(ops, left, right, keys, out)
     prog.variables, prog.names = tuple(variables), tuple(names)
     return prog

@@ -2,15 +2,22 @@
 evaluator, the recursive variable walk it used before every node carried
 its var_bits, the set-based factor condition of the linearization, the
 isinstance printer to_text used before it dispatched on exact node
-types, and the automorphism search that tested every pair (a, b) before
-it tested only generators, kept as slow, independent oracles for the
-tests."""
+types, the automorphism search that tested every pair (a, b) before it
+tested only generators, and the compiler walk that words._compile
+replaced, kept as slow, independent oracles for the tests."""
 
 import itertools
+from array import array
 
 from eqlarge.errors import ArityMismatch
 from eqlarge.group import ProductGroup, _greedy_generators
 from eqlarge.words import (
+    _COMM,
+    _IDENTITY,
+    _INV,
+    _LOAD_CONST,
+    _LOAD_VAR,
+    _MUL,
     Comm,
     Conj,
     Const,
@@ -19,6 +26,7 @@ from eqlarge.words import (
     Pow,
     Prod,
     Var,
+    _schedule,
     expand_engel,
     resolve_constant,
     word_arity,
@@ -201,3 +209,112 @@ def automorphism_action(G):
                 for a in range(n) for b in range(n)):
             maps.add(tuple(m))
     return tuple(sorted(maps))
+
+
+def compile_program(roots, product):
+    """The Program compile_words builds, by the walk it used before: each
+    node is pushed as (node, None) and again as (node, children), and
+    emit and power are closures made afresh for every call.  The phases
+    are words._schedule's."""
+    # the steps' codes, operand slots (an inverse names its one operand
+    # twice), and level << 3 | op, 0 for a load
+    ops, left, right, keys = bytearray(), array("i"), array("i"), array("i")
+    variables, names = {}, {}
+    done = {}       # id(node) -> slot, for nodes that roots keeps alive
+    # (left << 32 | right) << 3 | op -> slot, so structurally equal nodes
+    # share a slot; an int key takes half the memory of a tuple
+    slot_of = {}
+
+    def emit(op, a=0, b=0, shared=True):
+        slot = len(ops)
+        if shared:
+            key = (a << 32 | b) << 3 | op
+            if key in slot_of:
+                return slot_of[key]
+            slot_of[key] = slot
+        ops.append(op)
+        left.append(a)
+        right.append(b)
+        keys.append(0 if op < _INV else
+                    ((max(keys[a], keys[b]) >> 3) + 1) << 3 | op)
+        return slot
+
+    def power(a, k):
+        if k == 0:
+            return emit(_IDENTITY)
+        if k < 0:
+            a, k = emit(_INV, a, a), -k
+        acc = None
+        while True:
+            if k & 1:
+                acc = a if acc is None else emit(_MUL, acc, a)
+            k >>= 1
+            if not k:
+                return acc
+            a = emit(_MUL, a, a)
+
+    expansions = []     # Engel expansions, alive while their ids are keys
+    out = []
+    for root in roots:
+        # (node, None) is still to expand; (node, children) is ready once
+        # the children pushed above it are done
+        stack = [(root, None)]
+        while stack:
+            w, kids = stack.pop()
+            if id(w) in done:
+                continue
+            t = type(w)
+            if kids is None:
+                if t is Comm or t is Prod:
+                    kids = (w.left, w.right)
+                elif t is Inv:
+                    kids = (w.body,)
+                elif t is Pow:
+                    kids = (w.base,)
+                elif t is Conj:
+                    kids = (w.base, w.by)
+                elif t is Engel:
+                    kids = (expand_engel(w),)
+                    expansions.append(kids)
+                elif t is Var or t is Const:
+                    kids = ()
+                else:
+                    raise TypeError(f"not a word node: {w!r}")
+                if kids:
+                    stack.append((w, kids))
+                    stack.extend((k, None) for k in reversed(kids))
+                    continue
+            s = [done[id(k)] for k in kids]
+            if t is Comm:
+                slot = emit(_COMM, *s)
+            elif t is Prod:
+                slot = emit(_MUL, *s)
+            elif t is Inv:
+                slot = emit(_INV, s[0], s[0])
+            elif t is Var:
+                slot = emit(_LOAD_VAR, variables.setdefault(
+                    w.index, len(variables)))
+            elif t is Const:
+                slot = emit(_LOAD_CONST, names.setdefault(w.name, len(names)))
+            elif t is Pow:
+                slot = power(s[0], w.exp)
+            elif t is Conj:
+                slot = emit(_MUL, s[0], emit(_COMM, *s))
+            else:
+                slot = s[0]         # Engel: its expansion's slot
+            done[id(w)] = slot
+        out.append(done[id(root)])
+    if product:
+        # a balanced fold, adjacent pairs first, adds log2(len(roots))
+        # levels where a running product would add one per root; a fold
+        # step is no node, so it skips the table
+        while len(out) > 1:
+            pairs = [emit(_MUL, a, b, False)
+                     for a, b in zip(out[::2], out[1::2])]
+            out = pairs + out[2 * len(pairs):]
+        out = out or [emit(_IDENTITY)]
+    done.clear()        # the walk's tables go before the schedule's
+    slot_of.clear()
+    prog = _schedule(ops, left, right, keys, out)
+    prog.variables, prog.names = tuple(variables), tuple(names)
+    return prog

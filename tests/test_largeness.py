@@ -526,6 +526,24 @@ def test_a_least_cover_leaves_its_decisions_in_the_memo(monkeypatch):
     assert built == []
 
 
+def test_a_least_cover_runs_the_greedy_once(monkeypatch):
+    runs = []
+    greedy = _CoverSearch.greedy
+
+    def counted(search):
+        runs.append(search)
+        return greedy(search)
+
+    monkeypatch.setattr(_CoverSearch, "greedy", counted)
+    G = catalog("S4")
+    # ten elements: ceil(24/10) = 3 translates are refuted, 4 cover
+    Z = Subset(G, 0x8A079C)
+    c, sel = cover_number(G, Z)
+    assert c == 4 and covers_by_mul(G, Z, sel)
+    assert G._decisions[Z.bits] == (3, sel)
+    assert len(runs) == 1
+
+
 def test_memo_serves_a_smaller_cover_to_a_larger_k():
     G = catalog("S4")
     Y = Subset(G, 0xFFFF0F)

@@ -1,5 +1,6 @@
 import hashlib
 import operator
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,8 +13,11 @@ from eqlarge.errors import (
     NotASupercommutator,
     PreconditionViolated,
 )
+from eqlarge.group import power
 from eqlarge.linearize import (
     LinearizeBudget,
+    _residues,
+    _sample_column,
     check_factor_condition,
     enumerate_sweep_shapes,
     linearization_identity_holds,
@@ -26,6 +30,7 @@ from eqlarge.words import (
     Const,
     Inv,
     Var,
+    column_ops,
     evaluate,
     parse_word,
     to_text,
@@ -73,6 +78,39 @@ def test_identity_checker_agrees():
     # without the correction factors the identity must break somewhere in
     # S3 (in class-2 groups they all vanish, so D4 is no witness here)
     assert not linearization_identity_holds(S3, v, (0,), (2,), [],
+                                            samples=200)
+
+
+def test_kept_bytes_fall_evenly_on_the_residues():
+    for n in range(1, 257):
+        table, drop = _residues(n)
+        kept = bytes(range(256)).translate(table, drop)
+        assert len(kept) == 256 - 256 % n
+        assert sorted(kept) == sorted(list(range(n)) * (len(kept) // n))
+
+
+def test_sampled_columns_are_in_range_and_fixed_by_the_seed():
+    for n in (1, 2, 6, 8, 27, 129, 255, 256, 257, 1000):
+        for k in (0, 1, 100, 1000):
+            column = _sample_column(random.Random(7), n, k)
+            assert type(column) is (bytes if n <= 256 else list)
+            assert len(column) == k
+            assert all(0 <= v < n for v in column)
+            assert column == _sample_column(random.Random(7), n, k)
+    # small orders draw again for the deleted bytes and reach every value
+    assert set(_sample_column(random.Random(0), 6, 1000)) == set(range(6))
+
+
+def test_identity_check_on_list_columns():
+    # order 36 is past the bytes columns: the drawn bytes become lists
+    S3xS3 = power(S3, 2)
+    ops = column_ops(S3xS3)
+    assert type(ops.column(_sample_column(random.Random(0), 36, 5))) is list
+    v = parse_word("[x1,x2]")
+    phi = linearize(v, (0,), (2,))
+    assert linearization_identity_holds(S3xS3, v, (0,), (2,), phi,
+                                        samples=200)
+    assert not linearization_identity_holds(S3xS3, v, (0,), (2,), [],
                                             samples=200)
 
 

@@ -6,24 +6,31 @@ each above the levels of its operands, every operand is live when its
 phase reads it, every slot but the roots is freed exactly once, by the
 phase that reads it last (a slot nobody reads by its own phase), and the
 roots stay.  One run of the sweep's heaviest product makes one kernel
-call per level group, not one per step.
+call per level group, not one per step.  Every program is the one the
+old two-visit compiler in reference_eval builds, array for array.
 """
 import random
 
 from hypothesis import given, settings, strategies as st
 
-from eqlarge.catalog import catalog
+import reference_eval as ref
+from eqlarge import verifier
+from eqlarge.catalog import catalog, catalog_upto
 from eqlarge.linearize import enumerate_sweep_shapes, linearize
 from eqlarge.words import (
     _INV,
     Comm,
+    Conj,
     Const,
+    Engel,
     Inv,
     Pow,
     Prod,
     Var,
+    _compile,
     column_ops,
     compile_words,
+    parse_word,
     run_program,
 )
 
@@ -40,6 +47,39 @@ def random_word(rng, depth):
         return Pow(random_word(rng, depth - 1), rng.randint(-3, 3))
     node = Prod if kind == 2 else Comm
     return node(random_word(rng, depth - 1), random_word(rng, depth - 1))
+
+
+def dag_word(rng, depth, pool):
+    """A random word over every node type, whose subtrees are at times
+    nodes already in pool, so that one node object has several parents."""
+    if pool and rng.random() < 0.3:
+        return rng.choice(pool)
+    if depth == 0 or rng.random() < 0.2:
+        w = rng.choice((Var(0), Var(1), Var(2), Const("g"), Const("#e")))
+    else:
+        kind = rng.randrange(6)
+        a = dag_word(rng, depth - 1, pool)
+        if kind == 0:
+            w = Inv(a)
+        elif kind == 1:
+            w = Pow(a, rng.randint(-6, 6))
+        else:
+            b = dag_word(rng, depth - 1, pool)
+            w = (Conj(a, b) if kind == 2 else
+                 Engel(a, b, rng.randint(1, 3)) if kind == 3 else
+                 (Prod, Comm)[kind - 4](a, b))
+    pool.append(w)
+    return w
+
+
+PROGRAM_ARRAYS = ("ops", "left", "right", "starts", "frees", "free_starts",
+                  "variables", "names", "roots")
+
+
+def check_against_the_old_compiler(roots, product):
+    got, want = _compile(roots, product), ref.compile_program(roots, product)
+    for name in PROGRAM_ARRAYS:
+        assert getattr(got, name) == getattr(want, name), name
 
 
 def operands(program, i):
@@ -105,6 +145,36 @@ def test_random_words_schedule(seed, count, product):
     rng = random.Random(seed)
     roots = [random_word(rng, 4) for _ in range(count)]
     check_schedule(compile_words(roots, product=product))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.integers(min_value=0, max_value=10**6),
+       st.integers(min_value=0, max_value=12), st.booleans())
+def test_random_programs_match_the_old_compiler(seed, count, product):
+    rng = random.Random(seed)
+    check_against_the_old_compiler(
+        [random_word(rng, 4) for _ in range(count)], product)
+    pool = []
+    roots = [dag_word(rng, 4, pool) for _ in range(count)]
+    check_against_the_old_compiler(roots, product)
+    check_schedule(_compile(roots, product))
+
+
+def test_sweep_and_verifier_programs_match_the_old_compiler(monkeypatch):
+    for _, v, xbar, ybar in SHAPES:
+        check_against_the_old_compiler([v], True)
+        check_against_the_old_compiler(linearize(v, xbar, ybar), True)
+    texts, compiled = set(), verifier._compiled
+
+    def recorded(text):
+        texts.add(text)
+        return compiled(text)
+
+    monkeypatch.setattr(verifier, "_compiled", recorded)
+    verifier.run_suite(catalog_upto(16))
+    assert len(texts) > 20
+    for text in texts:
+        check_against_the_old_compiler([parse_word(text)], False)
 
 
 def test_sweep_shapes_schedule():
