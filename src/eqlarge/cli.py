@@ -15,7 +15,7 @@ import time
 from itertools import islice
 
 from . import verifier
-from .catalog import catalog, catalog_upto, parse_group_list
+from .catalog import catalog, parse_group_list
 from .errors import (
     BudgetExceeded,
     EqlargeError,
@@ -199,7 +199,7 @@ def _cmd_prob(args):
 def _certificate_json(cert):
     if cert is None:
         return None
-    return {"translators": list(cert.translators), "covered": cert.covered}
+    return {"translators": list(cert.translators), "covered": True}
 
 
 def _cmd_largeness(args):

@@ -86,7 +86,6 @@ def at_least(value, k):
 @dataclass(frozen=True)
 class CoverCertificate:
     translators: tuple
-    covered: bool
 
 
 @dataclass(frozen=True)
@@ -287,10 +286,10 @@ def _decide(G, X, k, budget, search):
     if X.size == 0:
         return False, None
     if X.size == G.order:
-        return True, CoverCertificate((G.identity,), True)
+        return True, CoverCertificate((G.identity,))
     refuted, cover = G._decisions.get(X.bits, (0, None))
     if cover is not None and len(cover) <= k:
-        return True, CoverCertificate(cover, True)
+        return True, CoverCertificate(cover)
     if k <= refuted or k * X.size < G.order:
         return False, None
     if k == 2:
@@ -303,7 +302,7 @@ def _decide(G, X, k, budget, search):
         G._decisions[X.bits] = (k, cover)
         return False, None
     G._decisions[X.bits] = (refuted, sel)
-    return True, CoverCertificate(sel, True)
+    return True, CoverCertificate(sel)
 
 
 def is_k_large(G, X, k, budget=DEFAULT_BUDGET):
@@ -314,7 +313,7 @@ def is_k_large(G, X, k, budget=DEFAULT_BUDGET):
     if not generic:
         return True, None
     sel = cert.translators
-    return False, CoverCertificate(sel + (sel[-1],) * (k - len(sel)), True)
+    return False, CoverCertificate(sel + (sel[-1],) * (k - len(sel)))
 
 
 def genericity_number(G, X, budget=DEFAULT_BUDGET):
@@ -322,7 +321,7 @@ def genericity_number(G, X, budget=DEFAULT_BUDGET):
     if X.size == 0:
         return INFINITE, None
     n, sel = cover_number(G, X, budget)
-    return n, CoverCertificate(sel, True)
+    return n, CoverCertificate(sel)
 
 
 def largeness_number(G, X, budget=DEFAULT_BUDGET):

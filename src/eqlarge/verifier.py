@@ -1,12 +1,15 @@
 """Checks that pin theorem-level facts against brute-force computation.
 
-Every check takes one group and reports whether the hypothesis applied at
-all (vacuous otherwise), whether the conclusion held on every instance it
-generated, and where meaningful a minimal margin: the gap between an upper
-bound and the measured fraction, as an exact Fraction.  Checks never weaken
-on failure; a false conclusion surfaces as passed=False with a witness.
-Each check yields one case per instance and _verdict turns the cases into
-its CheckResult.
+A check is a generator function check_<id>(G): it yields one (margin,
+witness) case per instance whose hypothesis holds, and returns before its
+first yield when the hypothesis never applies.  The registry names each
+check by its function and runs it through _verdict, which reports whether
+the hypothesis applied at all (vacuous otherwise), whether the conclusion
+held on every instance, and where meaningful a minimal margin: the gap
+between an upper bound and the measured fraction, as an exact Fraction.
+Checks never weaken on failure; a false conclusion surfaces as
+passed=False with a witness.  check_autocomm, which names a witness when
+it passes, builds its own CheckResult.
 
 The open-question searches at the bottom hunt for counterexample
 configurations nobody has ruled out.  Each yields the candidates the fast
@@ -27,7 +30,7 @@ import random
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 from .errors import BudgetExceeded, OrderBound, UnknownCheck, UnknownQuestion
 from .group import (
@@ -104,17 +107,18 @@ class CheckSpec:
     run: object
 
 
-def _verdict(check_id, G, cases):
-    """The one way a check becomes a CheckResult.  cases yields a
-    (margin, witness) pair for each instance whose hypothesis holds: margin
-    is bound - measured, or None when the instance has no bound, and
-    witness is None when the conclusion held.  The hypothesis holds once a
-    case is given, and the margin is the least one given.  The first
-    witness fails the check, with no margin; the cases after it are not
-    drawn."""
+def _verdict(check_id, cases_of, G):
+    """The one way a check becomes a CheckResult: the registry runs every
+    check but autocomm through here, bound to its id.  cases_of(G) yields
+    a (margin, witness) pair for each instance whose hypothesis holds:
+    margin is bound - measured, or None when the instance has no bound,
+    and witness is None when the conclusion held.  The hypothesis holds
+    once a case is given, and the margin is the least one given.  The
+    first witness fails the check, with no margin; the cases after it are
+    not drawn."""
     hyp = False
     margin = None
-    for m, witness in cases:
+    for m, witness in cases_of(G):
         if witness is not None:
             return CheckResult(check_id, G.label, True, False, None, witness)
         hyp = True
@@ -123,14 +127,15 @@ def _verdict(check_id, G, cases):
     return CheckResult(check_id, G.label, hyp, True, margin, None)
 
 
-# the sampling seed of the run_check call in progress
-_seed = ContextVar("seed", default=0)
+# "seed:check_id" of the run_check call in progress
+_stream = ContextVar("stream")
 
 
-def _rng(check_id, G):
-    """The sampling stream of one check on one group, keyed by the seed;
-    seed 0 is what the test suite pins its frozen expectations against."""
-    return random.Random(f"{_seed.get()}:{check_id}:{G.label}")
+def _rng(G):
+    """The sampling stream of the check in progress on one group, keyed by
+    run_check's seed and check id; seed 0 is what the test suite pins its
+    frozen expectations against."""
+    return random.Random(f"{_stream.get()}:{G.label}")
 
 
 def _divisors(n):
@@ -212,26 +217,20 @@ def _noncentral(G):
 # --- counting facts ---------------------------------------------------------
 
 
-def _failing_divisors(bad):
-    """The one case of a check that lists every divisor it fails at."""
-    return [(None, {"failing_divisors": bad} if bad else None)]
-
-
 def check_frobenius(G):
     """Each divisor d of the order divides the number of solutions of
     x^d = e."""
-    counts = _order_counts(G)
-    return _verdict("frobenius", G, _failing_divisors(
-        [d for d, c in counts.items() if c % d != 0]))
+    bad = [d for d, c in _order_counts(G).items() if c % d != 0]
+    yield None, {"failing_divisors": bad} if bad else None
 
 
 def check_miller_bound(G):
     """A non-abelian group has at most 3/4 of its elements of order
     dividing 2."""
     if is_abelian(G):
-        return _verdict("miller_bound", G, ())
-    return _verdict("miller_bound", G, _bounded(
-        [(Fraction(3, 4), _by_value(G, "x1^2")[G.identity], {})]))
+        return
+    mu = _by_value(G, "x1^2")[G.identity].fraction()
+    yield _case(Fraction(3, 4), mu, {})
 
 
 def check_laffey_p(G):
@@ -239,10 +238,10 @@ def check_laffey_p(G):
     p/(p+1) of the elements satisfy x^p = e."""
     primes = _prime_factors(G.order)
     if len(primes) < 2:
-        return _verdict("laffey_p", G, ())
-    return _verdict("laffey_p", G, _bounded(
+        return
+    yield from _bounded(
         (Fraction(p, p + 1), _by_value(G, f"x1^{p}")[G.identity], {"p": p})
-        for p in primes))
+        for p in primes)
 
 
 def check_iiyori_yamaki(G):
@@ -255,26 +254,24 @@ def check_iiyori_yamaki(G):
         if len(sols) == d:
             exact[d] = sols
     if not exact:
-        return _verdict("iiyori_yamaki", G, ())
-    return _verdict("iiyori_yamaki", G, _failing_divisors(
-        [d for d, sols in exact.items() if not is_subgroup(G, sols)]))
+        return
+    bad = [d for d, sols in exact.items() if not is_subgroup(G, sols)]
+    yield None, {"failing_divisors": bad} if bad else None
 
 
 def check_erdos_turan(G):
     """The fraction of commuting pairs equals classes over order."""
     mu = _by_value(G, "[x1,x2]")[G.identity].fraction()
     expected = commuting_probability(G)
-    return _verdict("erdos_turan", G, [
-        (Fraction(0, 1), None) if mu == expected else
-        (None, {"measured": str(mu), "class_ratio": str(expected)})])
+    yield ((Fraction(0, 1), None) if mu == expected else
+           (None, {"measured": str(mu), "class_ratio": str(expected)}))
 
 
 def check_gustafson_58(G):
     """A non-abelian group has commuting probability at most 5/8."""
     if is_abelian(G):
-        return _verdict("gustafson_58", G, ())
-    return _verdict("gustafson_58", G, [
-        _case(Fraction(5, 8), commuting_probability(G), {})])
+        return
+    yield _case(Fraction(5, 8), commuting_probability(G), {})
 
 
 # --- covers of small subsets ------------------------------------------------
@@ -297,17 +294,13 @@ def check_two_generic_threshold(G):
     """A proper nonempty subset of size m in a group of order n with
     (n-m)(n-m-1) < n-1 needs at most two translates to cover."""
     n = G.order
-
-    def cases():
-        for X in _some_subsets(G, _rng("two_generic_threshold", G), 200):
-            m = X.size
-            if (n - m) * (n - m - 1) >= n - 1:
-                continue
-            k, _sel = cover_number(G, X)
-            yield None, ({"subset": list(X.indices()), "cover": k}
-                         if k > 2 else None)
-
-    return _verdict("two_generic_threshold", G, cases())
+    for X in _some_subsets(G, _rng(G), 200):
+        m = X.size
+        if (n - m) * (n - m - 1) >= n - 1:
+            continue
+        k, _sel = cover_number(G, X)
+        yield None, ({"subset": list(X.indices()), "cover": k}
+                     if k > 2 else None)
 
 
 def check_sqrt2n_bound(G):
@@ -315,74 +308,62 @@ def check_sqrt2n_bound(G):
     of at least sqrt(n/2): in integers, 2(n-m)^2 >= n."""
     n = G.order
     exp = exponent(G)
-
-    def cases():
-        for ell in range(1, 13):
-            if ell % exp == 0:
-                continue
-            m = _by_value(G, f"x1^{ell}")[G.identity].count
-            yield None, ({"l": ell, "solutions": m}
-                         if 2 * (n - m) * (n - m) < n else None)
-
-    return _verdict("sqrt2n_bound", G, cases())
+    for ell in range(1, 13):
+        if ell % exp == 0:
+            continue
+        m = _by_value(G, f"x1^{ell}")[G.identity].count
+        yield None, ({"l": ell, "solutions": m}
+                     if 2 * (n - m) * (n - m) < n else None)
 
 
 def check_measure_lemma(G):
     """Covering with k translates forces fraction at least 1/k, and
     fraction above 1 - 1/k forces every k translates to meet."""
-    rng = _rng("measure_lemma", G)
+    rng = _rng(G)
     n = G.order
-
-    def cases():
-        for _ in range(40):
-            bits = rng.getrandbits(n) & ((1 << n) - 1)
-            if bits == 0:
-                continue
-            X = Subset(G, bits)
-            m = X.size
-            mu = Fraction(m, n)
-            k, _sel = cover_number(G, X)
-            if mu < Fraction(1, k):
-                yield None, {"subset_size": m, "cover": k}
-            L, _c = largeness_number(G, X)
-            k2 = next((k2 for k2 in range(1, 7)
-                       if mu > 1 - Fraction(1, k2) and not at_least(L, k2)),
-                      None)
-            yield None, None if k2 is None else {"subset_size": m, "k": k2}
-
-    return _verdict("measure_lemma", G, cases())
+    for _ in range(40):
+        bits = rng.getrandbits(n) & ((1 << n) - 1)
+        if bits == 0:
+            continue
+        X = Subset(G, bits)
+        m = X.size
+        mu = Fraction(m, n)
+        k, _sel = cover_number(G, X)
+        if mu < Fraction(1, k):
+            yield None, {"subset_size": m, "cover": k}
+        L, _c = largeness_number(G, X)
+        k2 = next((k2 for k2 in range(1, 7)
+                   if mu > 1 - Fraction(1, k2) and not at_least(L, k2)),
+                  None)
+        yield None, None if k2 is None else {"subset_size": m, "k": k2}
 
 
 def check_subgroup_lemma(G):
     """If X is (k*l)-large in G and H has index k, then X cap H is l-large
     in H."""
-    rng = _rng("subgroup_lemma", G)
+    rng = _rng(G)
     subs = [center(G), derived_subgroup(G)]
     for _ in range(3):
         g = rng.randrange(G.order)
         subs.append(subgroup_generated(G, [g]))
-
-    def cases():
-        for H in subs:
-            hsize = H.size
-            if hsize == G.order:
+    for H in subs:
+        hsize = H.size
+        if hsize == G.order:
+            continue
+        k = G.order // hsize
+        for _ in range(5):
+            bits = rng.getrandbits(G.order) & ((1 << G.order) - 1)
+            if bits == 0 or bits == (1 << G.order) - 1:
                 continue
-            k = G.order // hsize
-            for _ in range(5):
-                bits = rng.getrandbits(G.order) & ((1 << G.order) - 1)
-                if bits == 0 or bits == (1 << G.order) - 1:
-                    continue
-                X = Subset(G, bits)
-                L, _c = largeness_number(G, X)
-                ell = L // k
-                if ell < 1:
-                    continue
-                LH, _ch = restrict_largeness(G, X, H)
-                yield None, (None if at_least(LH, ell) else
-                             {"subgroup_size": hsize,
-                              "subset": list(X.indices())})
-
-    return _verdict("subgroup_lemma", G, cases())
+            X = Subset(G, bits)
+            L, _c = largeness_number(G, X)
+            ell = L // k
+            if ell < 1:
+                continue
+            LH, _ch = restrict_largeness(G, X, H)
+            yield None, (None if at_least(LH, ell) else
+                         {"subgroup_size": hsize,
+                          "subset": list(X.indices())})
 
 
 # --- bounded conjugacy and the center ---------------------------------------
@@ -396,37 +377,30 @@ _WORD_FAMILY = [
 ]
 
 
-def _bounded_word_check(check_id, G, k_value, exponent_of):
+def _bounded_word_check(G, k_value, exponent_of):
     """For each family word and constant choice, every value bucket that is
     not an identity must have fraction at most 1 - 1/(2*k**e) with
     e = exponent_of(nvars, nconsts)."""
-
-    def instances():
-        for text, nvars, ranged in _WORD_FAMILY:
-            bound = 1 - Fraction(1, 2 * k_value ** exponent_of(nvars,
-                                                               len(ranged)))
-            total = G.order ** nvars
-            for by_value in _slices(G, text, ranged):
-                for c, sols in by_value.items():
-                    if sols.count != total:
-                        yield bound, sols, {"word": text, "value": c}
-
-    return _verdict(check_id, G, _bounded(instances()))
+    for text, nvars, ranged in _WORD_FAMILY:
+        bound = 1 - Fraction(1, 2 * k_value ** exponent_of(nvars, len(ranged)))
+        total = G.order ** nvars
+        yield from _bounded(
+            (bound, sols, {"word": text, "value": c})
+            for by_value in _slices(G, text, ranged)
+            for c, sols in by_value.items() if sols.count != total)
 
 
 def check_bfc_bound(G):
     """Word equations that are not identities miss a fraction controlled by
     the largest centralizer index."""
     k = max_centralizer_index(G)
-    return _bounded_word_check("bfc_bound", G, k,
-                               lambda nv, nc: nv * nv + nc * nv)
+    yield from _bounded_word_check(G, k, lambda nv, nc: nv * nv + nc * nv)
 
 
 def check_center_by_finite(G):
     """Same with the index of the center as the control."""
     k = G.order // center(G).size
-    return _bounded_word_check("center_by_finite", G, k,
-                               lambda nv, nc: nv)
+    yield from _bounded_word_check(G, k, lambda nv, nc: nv)
 
 
 def _central_exponent(G):
@@ -439,21 +413,16 @@ def check_central_identity(G):
     identity makes it hold identically on central tuples."""
     Z = list(center(G).indices())
     gvals = sorted({G.identity, G.order - 1, _noncentral(G)} - {None})
-    family = [("[x1,g]", 1), ("x1^2*g", 1), ("x1*g*x2", 2)]
-
-    def cases():
-        for text, nvars in family:
-            broken = None       # depends on the word only: g is set to e
-            for g in gvals:
-                for c, sols in _by_value(G, text, {"g": g}).items():
-                    if not _power_large(sols, 2):
-                        continue
-                    if broken is None:
-                        broken = _first_nontrivial(G, text, Z, nvars)
-                    yield None, ({"word": text, "g": g, "value": c,
-                                  "tuple": broken} if broken else None)
-
-    return _verdict("central_identity", G, cases())
+    for text, nvars in [("[x1,g]", 1), ("x1^2*g", 1), ("x1*g*x2", 2)]:
+        broken = None       # depends on the word only: g is set to e
+        for g in gvals:
+            for c, sols in _by_value(G, text, {"g": g}).items():
+                if not _power_large(sols, 2):
+                    continue
+                if broken is None:
+                    broken = _first_nontrivial(G, text, Z, nvars)
+                yield None, ({"word": text, "g": g, "value": c,
+                              "tuple": broken} if broken else None)
 
 
 def _first_nontrivial(G, text, elements, nvars):
@@ -472,18 +441,14 @@ def check_center_gcd(G):
     """x1^a * x2^b = c holding 2-largely forces the central exponent to
     divide gcd(a, b); failing that, the equation misses half the pairs."""
     zexp = _central_exponent(G)
-
-    def cases():
-        for a, b in [(2, 2), (2, 4), (3, 3), (4, 6)]:
-            divides = math.gcd(a, b) % zexp == 0
-            for c, sols in _by_value(G, f"x1^{a}*x2^{b}").items():
-                fields = {"powers": [a, b], "value": c}
-                if _power_large(sols, 2):
-                    yield None, None if divides else fields
-                if not divides:
-                    yield _case(Fraction(1, 2), sols.fraction(), fields)
-
-    return _verdict("center_gcd", G, cases())
+    for a, b in [(2, 2), (2, 4), (3, 3), (4, 6)]:
+        divides = math.gcd(a, b) % zexp == 0
+        for c, sols in _by_value(G, f"x1^{a}*x2^{b}").items():
+            fields = {"powers": [a, b], "value": c}
+            if _power_large(sols, 2):
+                yield None, None if divides else fields
+            if not divides:
+                yield _case(Fraction(1, 2), sols.fraction(), fields)
 
 
 # --- order two and order three ----------------------------------------------
@@ -498,10 +463,10 @@ def check_square_eq(G):
     identity, x^2 = c misses a quarter of the group and is never
     4-large."""
     exempt = _exp2_abelian(G)
-    return _verdict("square_eq", G, _bounded((
+    yield from _bounded((
         (Fraction(3, 4), sols, {"value": c})
         for c, sols in _by_value(G, "x1^2").items()
-        if not (exempt and c == G.identity)), 4))
+        if not (exempt and c == G.identity)), 4)
 
 
 def check_xaxb(G):
@@ -512,18 +477,14 @@ def check_xaxb(G):
     # both sides bucket x by b, the second as a^-1*(a*x)^2 = b
     sides = zip(_slices(G, "x1*a*x1", ("a",)),
                 _slices(G, "a^-1*(a*x1)^2", ("a",)))
-
-    def cases():
-        for a, (left, right) in enumerate(sides):
-            for b in range(G.order):
-                sols = left.get(b)
-                if sols != right.get(b):
-                    yield None, {"a": a, "b": b}
-                if not (exp2_abelian and a == b):
-                    mu = Fraction(sols.count if sols else 0, G.order)
-                    yield _case(Fraction(3, 4), mu, {"a": a, "b": b})
-
-    return _verdict("xaxb", G, cases())
+    for a, (left, right) in enumerate(sides):
+        for b in range(G.order):
+            sols = left.get(b)
+            if sols != right.get(b):
+                yield None, {"a": a, "b": b}
+            if not (exp2_abelian and a == b):
+                mu = Fraction(sols.count if sols else 0, G.order)
+                yield _case(Fraction(3, 4), mu, {"a": a, "b": b})
 
 
 def _cube_solutions(G):
@@ -534,29 +495,26 @@ def check_cube_7large_engel(G):
     """If x^3 = e is 7-large, both-sided iterated commutators of length two
     collapse: [[x,y],y] = e everywhere."""
     if not _power_large(_cube_solutions(G), 7):
-        return _verdict("cube_7large_engel", G, ())
+        return
     pair = _engel_pair(G)
-    return _verdict("cube_7large_engel", G, [
-        (None, None if pair is None else {"x": pair[0], "y": pair[1]})])
+    yield None, None if pair is None else {"x": pair[0], "y": pair[1]}
 
 
 def check_cube_2large_exp3(G):
     """If [[x,y],y] = e holds everywhere and x^3 = e is 2-large, the
     exponent divides 3."""
     if not is_2_engel(G) or not _power_large(_cube_solutions(G), 2):
-        return _verdict("cube_2large_exp3", G, ())
+        return
     exp = exponent(G)
-    return _verdict("cube_2large_exp3", G, [
-        (None, None if 3 % exp == 0 else {"exponent": exp})])
+    yield None, None if 3 % exp == 0 else {"exponent": exp}
 
 
 def check_cube_67(G):
     """If the exponent does not divide 3, x^3 = e misses at least a
     seventh of the group."""
     if 3 % exponent(G) == 0:
-        return _verdict("cube_67", G, ())
-    return _verdict("cube_67", G, _bounded(
-        [(Fraction(6, 7), _cube_solutions(G), {})]))
+        return
+    yield _case(Fraction(6, 7), _cube_solutions(G).fraction(), {})
 
 
 # --- commutator equations ---------------------------------------------------
@@ -581,21 +539,21 @@ def check_comm_product(G):
             for g2, by_value in zip(g2vals, row):
                 yield "[x1,g]*[x2,h]", [g1, g2], by_value
 
-    return _verdict("comm_product", G, _bounded((
+    yield from _bounded((
         (Fraction(1, 2), sols, {"word": text, "constants": gs, "value": c})
         for text, gs, by_value in words()
         for c, sols in by_value.items()
-        if not (all(zen.contains(g) for g in gs) and c == G.identity)), 2))
+        if not (all(zen.contains(g) for g in gs) and c == G.identity)), 2)
 
 
 def check_comm_abelian(G):
     """[x,y] = c is 4-large only in the abelian case with c = e; otherwise
     it misses a quarter of the pairs."""
     abelian = is_abelian(G)
-    return _verdict("comm_abelian", G, _bounded((
+    yield from _bounded((
         (Fraction(3, 4), sols, {"value": c})
         for c, sols in _by_value(G, "[x1,x2]").items()
-        if not (abelian and c == G.identity)), 4))
+        if not (abelian and c == G.identity)), 4)
 
 
 def check_word_comm_abelian(G):
@@ -606,44 +564,32 @@ def check_word_comm_abelian(G):
     family = [("x1^2", "x1^2*[x1,x2]", None),
               ("[x1,g]", "[x1,g]*[x1,x2]", {"g": gval})]
     abelian = is_abelian(G)
-
-    def instances():
-        for part_text, full_text, consts in family:
-            part = _by_value(G, part_text, consts)
-            for c, sols in _by_value(G, full_text, consts).items():
-                # exempt when w = c holds identically
-                if not (abelian and c in part and part[c].count == G.order):
-                    yield Fraction(3, 4), sols, {"word": full_text,
-                                                 "value": c}
-
-    return _verdict("word_comm_abelian", G, _bounded(instances(), 4))
+    for part_text, full_text, consts in family:
+        part = _by_value(G, part_text, consts)
+        yield from _bounded((
+            (Fraction(3, 4), sols, {"word": full_text, "value": c})
+            for c, sols in _by_value(G, full_text, consts).items()
+            # exempt when w = c holds identically
+            if not (abelian and c in part and part[c].count == G.order)), 4)
 
 
 def check_conj_comm(G):
     """If [g, h^x] = e holds k-largely with k the smaller centralizer
     index, the whole classes of g and h commute elementwise."""
-    classes = conjugacy_classes(G)
     cls_of = {}
-    for cl in classes:
+    for cl in conjugacy_classes(G):
         for g in cl:
             cls_of[g] = cl
     index = _centralizer_indices(G)
     pairs = itertools.product(range(G.order), repeat=2)
-
-    def cases():
-        for (g, h), by_value in zip(pairs,
-                                    _slices(G, "[g,h^x1]", ("g", "h"))):
-            k = min(index[g], index[h])
-            commuting = by_value.get(G.identity)
-            ok, _ = is_k_large(
-                G, Subset(G, commuting.bits if commuting else 0), k)
-            if ok:
-                yield None, next(
-                    ({"g": g, "h": h, "a": a, "b": b}
-                     for a in cls_of[g] for b in cls_of[h]
-                     if G.comm(a, b) != G.identity), None)
-
-    return _verdict("conj_comm", G, cases())
+    for (g, h), by_value in zip(pairs, _slices(G, "[g,h^x1]", ("g", "h"))):
+        k = min(index[g], index[h])
+        commuting = by_value.get(G.identity)
+        ok, _ = is_k_large(G, Subset(G, commuting.bits if commuting else 0), k)
+        if ok:
+            yield None, next(({"g": g, "h": h, "a": a, "b": b}
+                              for a in cls_of[g] for b in cls_of[h]
+                              if G.comm(a, b) != G.identity), None)
 
 
 def check_triple_comm(G):
@@ -655,24 +601,20 @@ def check_triple_comm(G):
     pairs = itertools.product(range(G.order), repeat=2)
     sides = zip(_slices(G, "[[x1,g],h]", ("g", "h")),
                 _slices(G, "[[g,x1],h]", ("g", "h")))
-
-    def cases():
-        for (g, h), (left, middle) in zip(pairs, sides):
-            need = 2 * index[h]
-            for side, by_value in (("left", left), ("middle", middle)):
-                for c, sols in by_value.items():
-                    if side == "middle" and not zen.contains(c):
-                        continue
-                    if not _power_large(sols, need):
-                        continue
-                    # a witness is the least x where the word is not e
-                    ones = by_value.get(G.identity)
-                    rest = ((1 << G.order) - 1) & ~(ones.bits if ones else 0)
-                    yield None, ({"side": side, "g": g, "h": h, "value": c,
-                                  "witness": (rest & -rest).bit_length() - 1}
-                                 if rest else None)
-
-    return _verdict("triple_comm", G, cases())
+    for (g, h), (left, middle) in zip(pairs, sides):
+        need = 2 * index[h]
+        for side, by_value in (("left", left), ("middle", middle)):
+            for c, sols in by_value.items():
+                if side == "middle" and not zen.contains(c):
+                    continue
+                if not _power_large(sols, need):
+                    continue
+                # a witness is the least x where the word is not e
+                ones = by_value.get(G.identity)
+                rest = ((1 << G.order) - 1) & ~(ones.bits if ones else 0)
+                yield None, ({"side": side, "g": g, "h": h, "value": c,
+                              "witness": (rest & -rest).bit_length() - 1}
+                             if rest else None)
 
 
 # --- nilpotency -------------------------------------------------------------
@@ -681,21 +623,18 @@ def check_triple_comm(G):
 def check_nilp_mc(G):
     """Iterated commutator equations miss a fraction controlled by the size
     of a witness family whose centralizers cut the center."""
-
-    def instances():
-        for k in (1, 2):
-            try:
-                s = mc_witness(G, k).s
-            except OrderBound:
-                continue
-            bound = 1 - Fraction(1, 2 * (s + 1) ** k)
-            cls = nilpotency_class(G)
-            word = "[" + ",".join(f"x{i + 1}" for i in range(k + 1)) + "]"
-            for c, sols in _by_value(G, word).items():
-                if not (cls is not None and cls <= k and c == G.identity):
-                    yield bound, sols, {"k": k, "value": c}
-
-    return _verdict("nilp_mc", G, _bounded(instances()))
+    for k in (1, 2):
+        try:
+            s = mc_witness(G, k).s
+        except OrderBound:
+            continue
+        bound = 1 - Fraction(1, 2 * (s + 1) ** k)
+        cls = nilpotency_class(G)
+        word = "[" + ",".join(f"x{i + 1}" for i in range(k + 1)) + "]"
+        yield from _bounded(
+            (bound, sols, {"k": k, "value": c})
+            for c, sols in _by_value(G, word).items()
+            if not (cls is not None and cls <= k and c == G.identity))
 
 
 def check_supercomm_const(G):
@@ -707,7 +646,7 @@ def check_supercomm_const(G):
     is the identity."""
     cls = nilpotency_class(G)
     if cls is None:
-        return _verdict("supercomm_const", G, ())
+        return
 
     def instances():
         yield "[x1,x2]", None, 0, _by_value(G, "[x1,x2]")
@@ -720,16 +659,12 @@ def check_supercomm_const(G):
             for h in range(G.order):
                 yield "[[x1,g],h]", {"g": g, "h": h}, 2, next(nested)
 
-    def cases():
-        for text, consts, nparams, by_value in instances():
-            need = max(2 ** (cls - nparams), 1)
-            for c, sols in by_value.items():
-                if _power_large(sols, need):
-                    yield None, (None if c == G.identity else
-                                 {"word": text, "constants": consts,
-                                  "value": c})
-
-    return _verdict("supercomm_const", G, cases())
+    for text, consts, nparams, by_value in instances():
+        need = max(2 ** (cls - nparams), 1)
+        for c, sols in by_value.items():
+            if _power_large(sols, need):
+                yield None, (None if c == G.identity else
+                             {"word": text, "constants": consts, "value": c})
 
 
 def check_nilpotent_identity(G):
@@ -737,22 +672,16 @@ def check_nilpotent_identity(G):
     2**k-largely holds identically."""
     cls = nilpotency_class(G)
     if cls is None:
-        return _verdict("nilpotent_identity", G, ())
-    need = 2 ** cls
+        return
     nc = _noncentral(G)
     gval = G.identity if nc is None else nc
-    family = [("x1^2", None), ("x1^3", None), ("[x1,x2]", None),
-              ("[x1,g]", {"g": gval})]
-
-    def cases():
-        for text, consts in family:
-            for c, sols in _by_value(G, text, consts).items():
-                if _power_large(sols, need):
-                    yield None, (None if sols.count == G.order ** sols.arity
-                                 else {"word": text, "value": c,
-                                       "count": sols.count})
-
-    return _verdict("nilpotent_identity", G, cases())
+    for text, consts in [("x1^2", None), ("x1^3", None), ("[x1,x2]", None),
+                         ("[x1,g]", {"g": gval})]:
+        for c, sols in _by_value(G, text, consts).items():
+            if _power_large(sols, 2 ** cls):
+                yield None, (None if sols.count == G.order ** sols.arity
+                             else {"word": text, "value": c,
+                                   "count": sols.count})
 
 
 def check_nilpotent_exponent(G):
@@ -760,18 +689,13 @@ def check_nilpotent_exponent(G):
     forces c = e and exponent dividing n."""
     cls = nilpotency_class(G)
     if cls is None:
-        return _verdict("nilpotent_exponent", G, ())
-    need = 2 ** cls
+        return
     exp = exponent(G)
-
-    def cases():
-        for n in range(1, 13):
-            for c, sols in _by_value(G, f"x1^{n}").items():
-                if _power_large(sols, need):
-                    yield None, (None if c == G.identity and n % exp == 0
-                                 else {"n": n, "value": c})
-
-    return _verdict("nilpotent_exponent", G, cases())
+    for n in range(1, 13):
+        for c, sols in _by_value(G, f"x1^{n}").items():
+            if _power_large(sols, 2 ** cls):
+                yield None, (None if c == G.identity and n % exp == 0
+                             else {"n": n, "value": c})
 
 
 # --- automorphisms ----------------------------------------------------------
@@ -824,7 +748,8 @@ for _fn in [
     check_nilpotent_identity, check_nilpotent_exponent, check_autocomm,
 ]:
     _id = _fn.__name__.removeprefix("check_")
-    CHECKS[_id] = CheckSpec(_id, _fn)
+    CHECKS[_id] = CheckSpec(_id, _fn if _fn is check_autocomm
+                            else partial(_verdict, _id, _fn))
 
 
 def run_check(check_id, groups, seed=0):
@@ -832,11 +757,11 @@ def run_check(check_id, groups, seed=0):
     if check_id not in CHECKS:
         raise UnknownCheck(f"no check named {check_id!r}; "
                            f"known: {', '.join(sorted(CHECKS))}")
-    token = _seed.set(int(seed))
+    token = _stream.set(f"{int(seed)}:{check_id}")
     try:
         return [CHECKS[check_id].run(G) for G in groups]
     finally:
-        _seed.reset(token)
+        _stream.reset(token)
 
 
 def run_suite(groups, check_ids=None, seed=0):

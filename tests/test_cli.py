@@ -243,14 +243,18 @@ def test_verify_json_is_deterministic():
     assert doc["summary"]["total"] == len(doc["results"])
 
 
-def test_verify_seed_ends_with_the_command(capsys):
+def test_verify_seed_ends_with_the_command(capsys, monkeypatch):
     argv = ["verify", "--checks", "measure_lemma", "--groups", "S3",
             "--seed", "3"]
     assert cli._main(argv) == 0
     capsys.readouterr()
+    assert verifier._stream.get(None) is None
     # later checks in this process sample at seed 0 again
-    assert verifier._rng("measure_lemma", catalog("S3")).random() == \
-        random.Random("0:measure_lemma:S3").random()
+    keys, real = [], random.Random
+    monkeypatch.setattr(random, "Random",
+                        lambda key: keys.append(key) or real(key))
+    verifier.run_check("measure_lemma", [catalog("S3")])
+    assert keys == ["0:measure_lemma:S3"]
 
 
 def test_verify_bounded_checks_over_catalog_24():
@@ -303,6 +307,30 @@ def test_search_witness_exits_nonzero():
     payload = json.loads(out.split("WITNESS ", 1)[1])
     assert payload == {"group": "D4", "question": "comm_2large_c",
                        "reverified": True, "value": 2}
+
+
+def test_search_bytes_over_catalog_24():
+    # (question, format, exit code, sha256 of the output)
+    pins = [
+        ("oq_cube_5large", "json", 1,
+         "d6e3d9dd94e6222f390891c0278295a8d437ca5f4f8bde84f783c0f7e92fb718"),
+        ("oq_cube_5large", "text", 1,
+         "5215b311cd93236d58329bc2377fca55390e8d0127131c98aec1249a471c14d9"),
+        ("oq_comm_2large_c", "json", 1,
+         "3b64ffe63a32bbf9bfcb28c85329c666a9ba3a22cc1aa543d5c0e3138ee88dc5"),
+        ("oq_comm_2large_c", "text", 1,
+         "e8c4ba53491d0b6118f1dc9374caaaf2b72ead4e34ddf528f1c59d4c2ae2092a"),
+        ("oq_gamma_k", "json", 0,
+         "6069a192d4b884bc30fb3e720f606363a295db14fbb75b8da086a829edcaf039"),
+        ("oq_gamma_k", "text", 0,
+         "6eedc9159c6335a9f448ea5a25289de0e3e4deaddc1afc7aa30c6ba93332377c"),
+    ]
+    for question, fmt, expected, digest in pins:
+        code, out, _ = run_cli("search", question, "--groups", "catalog<=24",
+                               "--format", fmt)
+        assert code == expected, (question, fmt)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, \
+            (question, fmt)
 
 
 def test_usage_errors_exit_2():

@@ -119,7 +119,7 @@ def test_edge_subsets():
     assert genericity_number(S3, full)[0] == 1
     for k in (1, 2, 3):
         assert is_k_large(S3, empty, k) == (
-            False, CoverCertificate((S3.identity,) * k, True))
+            False, CoverCertificate((S3.identity,) * k))
         assert is_k_large(S3, full, k) == (True, None)
     assert largeness_number(S3, empty) == (0, None)
     assert largeness_number(S3, full) == (UNBOUNDED, None)
@@ -274,7 +274,7 @@ def test_decision_keeps_the_first_cover_within_k():
     C15 = catalog("C15")
     Y = Subset(C15, 1064)
     assert is_k_generic(C15, Y, 6) == (
-        True, CoverCertificate((5, 6, 12, 0, 9, 3), True))
+        True, CoverCertificate((5, 6, 12, 0, 9, 3)))
     assert cover_number(C15, Y) == (5, (5, 11, 14, 8, 2))
 
 
@@ -282,7 +282,7 @@ def test_least_cover_keeps_the_first_of_equal_size():
     # replacing the best cover on an equal-size leaf gives (4, 10, 1, 13)
     C18 = catalog("C18")
     assert largeness_number(C18, Subset(C18, 242039)) == (
-        3, CoverCertificate((4, 10, 1, 2), True))
+        3, CoverCertificate((4, 10, 1, 2)))
 
 
 MID_GROUPS = [G for G in catalog_upto(24) if 9 <= G.order]
@@ -365,7 +365,7 @@ def test_two_cover_names_the_least_translator():
     # first translate that completes the cover
     assert _two_cover(C4, subset(C4, [0, 1])) == (0, 2)
     assert is_k_generic(C4, subset(C4, [0, 1]), 2) == (
-        True, CoverCertificate((0, 2), True))
+        True, CoverCertificate((0, 2)))
     assert _two_cover(C4, subset(C4, [0, 1, 2])) == (0, 1)
     assert _two_cover(C4, subset(C4, [0])) is None
 
@@ -407,7 +407,7 @@ def test_a_greedy_miss_is_closed_by_the_search():
     sel = search.search(3)
     assert search.nodes > 0
     assert len(sel) == 3 and covers_by_mul(G, Y, sel)
-    assert is_k_generic(G, Y, 3) == (True, CoverCertificate(sel, True))
+    assert is_k_generic(G, Y, 3) == (True, CoverCertificate(sel))
     assert not naive_is_k_large(G, Y.complement(), 3)
     assert cover_number(G, Y)[0] == 3
 
@@ -520,7 +520,7 @@ def test_a_least_cover_leaves_its_decisions_in_the_memo(monkeypatch):
     c, sel = cover_number(C15, Y)
     assert c == 5 and built
     built.clear()
-    assert is_k_generic(C15, Y, c) == (True, CoverCertificate(sel, True))
+    assert is_k_generic(C15, Y, c) == (True, CoverCertificate(sel))
     assert is_k_generic(C15, Y, c - 1) == (False, None)
     assert cover_number(C15, Y) == (c, sel)
     assert built == []
@@ -552,8 +552,8 @@ def test_memo_serves_a_smaller_cover_to_a_larger_k():
     assert G._decisions == {Y.bits: (0, cert.translators)}
     assert is_k_generic(G, Y, 5) == (True, cert)
     assert is_k_large(G, Y.complement(), 4) == (
-        False, CoverCertificate(cert.translators + (cert.translators[-1],) * 2,
-                                True))
+        False,
+        CoverCertificate(cert.translators + (cert.translators[-1],) * 2))
     # ten elements that need four translates
     Z = Subset(G, 0x8A079C)
     assert is_k_generic(G, Z, 3) == (False, None)

@@ -130,6 +130,52 @@ def test_result_dict_schema():
     assert d["margin"] == "1/12"
 
 
+def verdict_fields(cases_of):
+    r = verifier._verdict("toy", cases_of, S3)
+    assert (r.check_id, r.group_label) == ("toy", "S3")
+    return r.hypothesis_holds, r.conclusion_holds, r.margin, r.witness
+
+
+def test_verdict_without_cases_is_a_vacuous_pass():
+    def no_cases(G):
+        return
+        yield
+
+    assert verdict_fields(no_cases) == (False, True, None, None)
+
+
+def test_verdict_keeps_the_least_margin():
+    def margins(G):
+        yield Fraction(1, 3), None
+        yield None, None
+        yield Fraction(1, 4), None
+
+    assert verdict_fields(margins) == (True, True, Fraction(1, 4), None)
+
+
+def test_verdict_stops_at_the_first_witness():
+    def fails(G):
+        yield Fraction(1, 3), None
+        yield None, {"order": G.order}
+        raise AssertionError("drawn past the witness")
+
+    assert verdict_fields(fails) == (True, False, None, {"order": 6})
+
+
+def test_registry_names_each_check_by_its_function():
+    # definition order, with autocomm last
+    def line(cid):
+        return getattr(verifier, f"check_{cid}").__code__.co_firstlineno
+
+    assert list(CHECKS) == sorted(CHECKS, key=line)
+    assert list(CHECKS)[-1] == "autocomm"
+    for cid, spec in CHECKS.items():
+        fn = getattr(verifier, f"check_{cid}")
+        assert spec.check_id == cid
+        assert spec.run is fn or (spec.run.func, spec.run.args) == (
+            verifier._verdict, (cid, fn))
+
+
 def test_every_check_passes_on_the_small_catalog():
     groups = parse_group_list("C1,C2,C6,S3,D4,Q8,E2^2")
     res = run_suite(groups)
