@@ -23,18 +23,15 @@ from .group import (
 from .largeness import (
     INFINITE,
     UNBOUNDED,
-    CoverCertificate,
     LargenessReport,
-    SearchBudget,
     cover_number,
-    genericity_number,
     is_k_generic,
     is_k_large,
     largeness_number,
     largeness_report,
     naive_is_k_large,
 )
-from .linearize import LinearizeBudget, linearize, linearize_product
+from .linearize import linearize, linearize_product
 from .probability import (
     AcReport,
     SolutionSet,

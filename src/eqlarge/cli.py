@@ -39,12 +39,7 @@ from .group import (
     nilpotency_class,
     trivial_action,
 )
-from .largeness import (
-    INFINITE,
-    UNBOUNDED,
-    SearchBudget,
-    cover_number,
-)
+from .largeness import INFINITE, NODE_CAP, UNBOUNDED, cover_number
 from .probability import (
     autocommutativity_degree,
     commuting_probability,
@@ -59,11 +54,6 @@ __all__ = ["main"]
 BUDGET_ERRORS = (OrderBound, IndexBound, BudgetExceeded)
 
 
-def _default_nodes():
-    """The node cap as text; argparse passes it through _node_cap."""
-    return os.environ.get("EQLARGE_BUDGET_NODES") or "10000000"
-
-
 def _node_cap(text):
     try:
         cap = int(text)
@@ -71,8 +61,8 @@ def _node_cap(text):
         cap = 0
     if cap < 1:
         raise argparse.ArgumentTypeError(
-            f"the node cap (--budget-nodes or EQLARGE_BUDGET_NODES) must be "
-            f"a positive integer, got {text!r}")
+            f"the node cap (--budget-nodes) must be a positive integer, "
+            f"got {text!r}")
     return cap
 
 
@@ -196,18 +186,17 @@ def _cmd_prob(args):
     return 0
 
 
-def _certificate_json(cert):
-    if cert is None:
+def _certificate_json(translators):
+    if translators is None:
         return None
-    return {"translators": list(cert.translators), "covered": True}
+    return {"translators": list(translators), "covered": True}
 
 
 def _cmd_largeness(args):
     G = catalog(args.group)
     consts = _parse_consts(G, args.const)
-    budget = SearchBudget(node_cap=args.budget_nodes)
     t0 = time.perf_counter()
-    report = equation_largeness(G, args.equation, consts, budget)
+    report = equation_largeness(G, args.equation, consts, args.budget_nodes)
     print(f"elapsed: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     payload = {
         "group": G.label,
@@ -232,8 +221,7 @@ def _cmd_largeness(args):
     ]
     if report.genericity_certificate:
         lines.append("cover translators: "
-                     + " ".join(map(str,
-                                    report.genericity_certificate.translators)))
+                     + " ".join(map(str, report.genericity_certificate)))
     _emit(payload, args.format, lines)
     return 0
 
@@ -268,10 +256,9 @@ def _load_subset(args, G):
 
 def _cmd_cover(args):
     G = catalog(args.group)
-    budget = SearchBudget(node_cap=args.budget_nodes)
     space, X = _load_subset(args, G)
     t0 = time.perf_counter()
-    k, translators = cover_number(space, X, budget)
+    k, translators = cover_number(space, X, args.budget_nodes)
     print(f"elapsed: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     payload = {
         "group": space.label,
@@ -387,11 +374,10 @@ def _build_parser():
                                  "a name); repeatable")
         if budget:
             sp.add_argument("--budget-nodes", type=_node_cap,
-                            default=_default_nodes(),
+                            default=NODE_CAP,
                             help="node cap of each cover decision's "
                                  "search; a least cover asks one decision "
-                                 "per k (default from EQLARGE_BUDGET_NODES "
-                                 "or 10^7)")
+                                 "per k (default %(default)s)")
 
     sp = sub.add_parser("info", help="invariants of one group")
     sp.add_argument("group")

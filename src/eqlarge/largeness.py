@@ -26,16 +26,14 @@ every k' <= k.  The memo holds ints and tuples only and dies with the group.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import BudgetExceeded, EmptySubset
-from .group import Subset
+from .group import Subset, subgroup_as_group
 
 __all__ = [
-    "SearchBudget",
-    "CoverCertificate",
+    "NODE_CAP",
     "LargenessReport",
     "UNBOUNDED",
     "INFINITE",
@@ -44,7 +42,6 @@ __all__ = [
     "cover_number",
     "is_k_generic",
     "is_k_large",
-    "genericity_number",
     "largeness_number",
     "largeness_report",
     "naive_is_k_large",
@@ -52,12 +49,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    node_cap: int = 10_000_000
-
-
-DEFAULT_BUDGET = SearchBudget()
+# search nodes each cover decision's DFS may visit
+NODE_CAP = 10_000_000
 # intersection tests naive_is_k_large may make, order**(k-1)
 NAIVE_BUDGET = 10 ** 6
 
@@ -84,20 +77,14 @@ def at_least(value, k):
 
 
 @dataclass(frozen=True)
-class CoverCertificate:
-    translators: tuple
-
-
-@dataclass(frozen=True)
 class LargenessReport:
     group_label: str
     group_order: int
     subset_size: int
     genericity_number: object
     largeness_number: object
-    genericity_certificate: CoverCertificate | None
-    largeness_certificate: CoverCertificate | None
-    elapsed: float
+    genericity_certificate: tuple | None
+    largeness_certificate: tuple | None
 
 
 def _membership(X):
@@ -131,12 +118,12 @@ class _CoverSearch:
     elements, so a packing never holds more than |G|/|Y| elements.
     """
 
-    def __init__(self, G, Y, budget):
+    def __init__(self, G, Y, node_cap):
         self.G = G
         self.ylist = list(Y.indices())
         self.membership = _membership(Y)
         self.full = (1 << G.order) - 1
-        self.budget = budget
+        self.node_cap = node_cap
         self.nodes = 0
         self.mask_cache = {}
         self.through_cache = {}
@@ -217,9 +204,8 @@ class _CoverSearch:
         if len(chosen) + need > k:
             return None
         self.nodes += 1
-        if self.nodes > self.budget.node_cap:
-            raise BudgetExceeded(
-                f"cover search passed {self.budget.node_cap} nodes")
+        if self.nodes > self.node_cap:
+            raise BudgetExceeded(f"cover search passed {self.node_cap} nodes")
         for g, m in self.candidates(uncovered):
             chosen.append(g)
             sel = self.dfs(uncovered & ~m, chosen, k)
@@ -229,7 +215,7 @@ class _CoverSearch:
         return None
 
 
-def cover_number(G, Y, budget=DEFAULT_BUDGET):
+def cover_number(G, Y, node_cap=NODE_CAP):
     """Least k with k left translates of Y covering G, with translators.
 
     Decides k-genericity at k = ceil(|G|/|Y|) and upward; every smaller k
@@ -243,9 +229,9 @@ def cover_number(G, Y, budget=DEFAULT_BUDGET):
     k = -(-G.order // Y.size)
     search = []
     while True:
-        generic, cert = _decide(G, Y, k, budget, search)
+        generic, sel = _decide(G, Y, k, node_cap, search)
         if generic:
-            return k, cert.translators
+            return k, sel
         k += 1
 
 
@@ -263,9 +249,9 @@ def _two_cover(G, Y):
     return None
 
 
-def is_k_generic(G, X, k, budget=DEFAULT_BUDGET):
-    """Whether some k left translates of X cover G, with a cover by at
-    most k translators as the certificate.
+def is_k_generic(G, X, k, node_cap=NODE_CAP):
+    """Whether some k left translates of X cover G, with the translators
+    of a cover by at most k translates as the certificate, or None.
 
     k = 2 is answered by scanning s for the least s with s*Z missing the
     complement Z, with the certificate (e, s); k >= 3 by the search,
@@ -274,10 +260,10 @@ def is_k_generic(G, X, k, budget=DEFAULT_BUDGET):
     served from G._decisions, so its cover may be one found for a
     smaller k.
     """
-    return _decide(G, X, k, budget, [])
+    return _decide(G, X, k, node_cap, [])
 
 
-def _decide(G, X, k, budget, search):
+def _decide(G, X, k, node_cap, search):
     """is_k_generic, with search the list that holds X's _CoverSearch once
     a decision builds it, so that one least cover's decisions share its
     greedy cover and masks."""
@@ -286,58 +272,52 @@ def _decide(G, X, k, budget, search):
     if X.size == 0:
         return False, None
     if X.size == G.order:
-        return True, CoverCertificate((G.identity,))
+        return True, (G.identity,)
     refuted, cover = G._decisions.get(X.bits, (0, None))
     if cover is not None and len(cover) <= k:
-        return True, CoverCertificate(cover)
+        return True, cover
     if k <= refuted or k * X.size < G.order:
         return False, None
     if k == 2:
         sel = _two_cover(G, X)
     else:
         if not search:
-            search.append(_CoverSearch(G, X, budget))
+            search.append(_CoverSearch(G, X, node_cap))
         sel = search[0].search(k)
     if sel is None:
         G._decisions[X.bits] = (k, cover)
         return False, None
     G._decisions[X.bits] = (refuted, sel)
-    return True, CoverCertificate(sel)
+    return True, sel
 
 
-def is_k_large(G, X, k, budget=DEFAULT_BUDGET):
+def is_k_large(G, X, k, node_cap=NODE_CAP):
     """Whether every k left translates of X meet; on failure the witness
     translators give k translates of the complement that cover G, i.e.
     translates of X with empty intersection after inverting."""
-    generic, cert = is_k_generic(G, X.complement(), k, budget)
+    generic, sel = is_k_generic(G, X.complement(), k, node_cap)
     if not generic:
         return True, None
-    sel = cert.translators
-    return False, CoverCertificate(sel + (sel[-1],) * (k - len(sel)))
+    return False, sel + (sel[-1],) * (k - len(sel))
 
 
-def genericity_number(G, X, budget=DEFAULT_BUDGET):
-    """Least k such that X is k-generic; INFINITE for the empty set."""
-    if X.size == 0:
-        return INFINITE, None
-    n, sel = cover_number(G, X, budget)
-    return n, CoverCertificate(sel)
-
-
-def largeness_number(G, X, budget=DEFAULT_BUDGET):
-    """Greatest k such that X is k-large; UNBOUNDED for the full group."""
+def largeness_number(G, X, node_cap=NODE_CAP):
+    """Greatest k such that X is k-large, with the translators of a least
+    cover by translates of the complement; UNBOUNDED for the full group."""
     if X.size == 0:
         return 0, None
-    n, cert = genericity_number(G, X.complement(), budget)
-    if n is INFINITE:
+    if X.size == G.order:
         return UNBOUNDED, None
-    return n - 1, cert
+    n, sel = cover_number(G, X.complement(), node_cap)
+    return n - 1, sel
 
 
-def largeness_report(G, X, budget=DEFAULT_BUDGET):
-    t0 = time.perf_counter()
-    gen, gen_cert = genericity_number(G, X, budget)
-    lar, lar_cert = largeness_number(G, X, budget)
+def largeness_report(G, X, node_cap=NODE_CAP):
+    """Both invariants of X with their covers; the genericity number is
+    INFINITE for the empty set."""
+    gen, gen_cert = (cover_number(G, X, node_cap) if X.size
+                     else (INFINITE, None))
+    lar, lar_cert = largeness_number(G, X, node_cap)
     return LargenessReport(
         group_label=G.label,
         group_order=G.order,
@@ -346,7 +326,6 @@ def largeness_report(G, X, budget=DEFAULT_BUDGET):
         largeness_number=lar,
         genericity_certificate=gen_cert,
         largeness_certificate=lar_cert,
-        elapsed=time.perf_counter() - t0,
     )
 
 
@@ -378,18 +357,16 @@ def naive_is_k_large(G, X, k):
     return rec(0, masks[G.identity])
 
 
-def restrict_largeness(G, X, H, budget=DEFAULT_BUDGET):
+def restrict_largeness(G, X, H, node_cap=NODE_CAP):
     """Largeness of X cap H inside the subgroup H of G.
 
     H is given as a Subset forming a subgroup; returns the largeness number
     of the intersection measured in the subgroup.
     """
-    from .group import subgroup_as_group
-
     Hgrp, elems = subgroup_as_group(G, H)
     pos = {g: i for i, g in enumerate(elems)}
     bits = 0
     for g in X.indices():
         if g in pos:
             bits |= 1 << pos[g]
-    return largeness_number(Hgrp, Subset(Hgrp, bits), budget)
+    return largeness_number(Hgrp, Subset(Hgrp, bits), node_cap)

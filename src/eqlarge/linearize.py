@@ -18,7 +18,6 @@ ever commuting two plain-x parts or two plain-y parts past each other.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cache
 
 from .errors import (
@@ -43,7 +42,7 @@ from .words import (
 )
 
 __all__ = [
-    "LinearizeBudget",
+    "MAX_FACTORS",
     "linearize",
     "linearize_product",
     "check_factor_condition",
@@ -53,12 +52,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LinearizeBudget:
-    max_factors: int = 100_000
-
-
-DEFAULT_BUDGET = LinearizeBudget()
+# commutator factors one expansion may create
+MAX_FACTORS = 100_000
 
 
 def _mask(indices):
@@ -70,19 +65,19 @@ def _mask(indices):
 
 
 class _Expander:
-    def __init__(self, xmap, budget):
+    def __init__(self, xmap, max_factors):
         self.xmap = xmap
         self.xmask = _mask(xmap)
-        self.budget = budget
+        self.max_factors = max_factors
         self.created = 0
         self._ysub_cache = {}
         self._phi_cache = {}
 
     def mk(self, a, b):
         self.created += 1
-        if self.created > self.budget.max_factors:
+        if self.created > self.max_factors:
             raise BudgetExceeded(
-                f"linearization exceeds {self.budget.max_factors} factors")
+                f"linearization exceeds {self.max_factors} factors")
         return Comm(a, b)
 
     def ysub(self, w):
@@ -214,7 +209,7 @@ def check_factor_condition(w, v, xbar, ybar):
             and vw & xmask != 0 and vw & _mask(ybar) != 0)
 
 
-def linearize(v, xbar, ybar, budget=DEFAULT_BUDGET):
+def linearize(v, xbar, ybar, max_factors=MAX_FACTORS):
     """Factor list phi with v(..., y_i*x_i, ...) = v(x) * v(y) * prod(phi).
 
     Every returned factor passes check_factor_condition against (v, xbar,
@@ -226,7 +221,7 @@ def linearize(v, xbar, ybar, budget=DEFAULT_BUDGET):
     if not v.var_bits & _mask(xbar):
         raise NoXVariable(f"{to_text(v)} uses none of the designated "
                           "variables")
-    phi = _Expander(dict(zip(xbar, ybar)), budget).expand(v)
+    phi = _Expander(dict(zip(xbar, ybar)), max_factors).expand(v)
     for w in phi:
         if not check_factor_condition(w, v, xbar, ybar):
             raise AssertionError(
@@ -234,7 +229,7 @@ def linearize(v, xbar, ybar, budget=DEFAULT_BUDGET):
     return phi
 
 
-def linearize_product(factors, xbar, ybar, n=None, budget=DEFAULT_BUDGET):
+def linearize_product(factors, xbar, ybar, n=None, max_factors=MAX_FACTORS):
     """Same splitting for a product of supercommutators.
 
     Every input factor must use a designated variable and at least n others;
@@ -263,7 +258,7 @@ def linearize_product(factors, xbar, ybar, n=None, budget=DEFAULT_BUDGET):
     if any(c < n for c in counts):
         raise PreconditionViolated(
             f"every factor needs at least {n} undesignated variables")
-    exp = _Expander(dict(zip(xbar, ybar)), budget)
+    exp = _Expander(dict(zip(xbar, ybar)), max_factors)
     items = []
     for w in prepared:
         items.extend([w, exp.ysub(w)] + exp.expand(w))

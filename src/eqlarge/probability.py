@@ -22,6 +22,7 @@ from .group import (
     is_subgroup,
     power,
 )
+from .largeness import NODE_CAP, largeness_report
 from .words import (
     column_ops,
     compile_words,
@@ -188,12 +189,10 @@ def commuting_probability(G):
     return Fraction(class_count(G), G.order)
 
 
-def equation_largeness(G, equation, constants=None, budget=None):
+def equation_largeness(G, equation, constants=None, node_cap=NODE_CAP):
     """Largeness report for the solution set inside the direct power."""
-    from .largeness import DEFAULT_BUDGET, largeness_report
-
     X = solution_set(G, equation, constants).as_subset()
-    return largeness_report(X.parent, X, budget or DEFAULT_BUDGET)
+    return largeness_report(X.parent, X, node_cap)
 
 
 def fixed_subgroup(G, sigma):

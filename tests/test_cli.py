@@ -33,10 +33,11 @@ def run_cli(*argv):
 @contextlib.contextmanager
 def small_caps():
     """Products and powers past 4096 elements and searches past 2000 nodes
-    are declined with 3, which keeps every fuzzed command quick."""
+    (the --budget-nodes default) are declined with 3, which keeps every
+    fuzzed command quick."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(group, "INDEX_BOUND", 4096)
-        mp.setenv("EQLARGE_BUDGET_NODES", "2000")
+        mp.setattr(cli, "NODE_CAP", 2000)
         yield
 
 
@@ -46,19 +47,16 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
 
-def child_env(env_extra=None):
+def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (SRC, env.get("PYTHONPATH"))))
-    if env_extra:
-        env.update(env_extra)
     return env
 
 
-def run_process(module, *args, env_extra=None):
+def run_process(module, *args):
     return subprocess.run([sys.executable, "-m", module, *args],
-                          capture_output=True, text=True,
-                          env=child_env(env_extra))
+                          capture_output=True, text=True, env=child_env())
 
 
 def test_child_processes_import_this_checkout(monkeypatch, tmp_path):
@@ -75,14 +73,14 @@ def test_child_processes_import_this_checkout(monkeypatch, tmp_path):
 
 def test_exit_codes_reach_the_process():
     # what _main returns is the exit status of eqlarge.cli run as a program
-    for code, argv, env in (
-            (0, ["prob", "S3", "[x1,x2]=#e"], None),
-            (1, ["search", "oq_comm_2large_c", "--groups", "D4"], None),
-            (2, ["prob", "Z9", "x1=#e"], None),
-            (2, ["frobnicate"], None),
-            (3, ["cover", "S4", "--subset", json.dumps(BUDGET_TRAP)],
-             {"EQLARGE_BUDGET_NODES": "2"})):
-        p = run_process("eqlarge.cli", *argv, env_extra=env)
+    for code, argv in (
+            (0, ["prob", "S3", "[x1,x2]=#e"]),
+            (1, ["search", "oq_comm_2large_c", "--groups", "D4"]),
+            (2, ["prob", "Z9", "x1=#e"]),
+            (2, ["frobnicate"]),
+            (3, ["cover", "S4", "--subset", json.dumps(BUDGET_TRAP),
+                 "--budget-nodes", "2"])):
+        p = run_process("eqlarge.cli", *argv)
         assert p.returncode == code, argv
         assert "Traceback" not in p.stderr
 
@@ -333,6 +331,61 @@ def test_search_bytes_over_catalog_24():
             (question, fmt)
 
 
+# (argv, sha256 of the text output, sha256 of the json output); the last
+# three are a full set (largeness unbounded), an empty set (genericity
+# infinite) and a constant binding
+COVER_PINS = [
+    (("largeness", "S3", "x1*x2=x2*x1"),
+     "dbc20532e5d41cf3716482abc057fce09b602b6ce2c0b54d92727f6836ea9ccb",
+     "c2a79eb7b802831e10be2be82abc50e9def70ec6640af4db22ac58893e8b9082"),
+    (("largeness", "D4", "[x1,x2]=#e"),
+     "e3944b11b97f4144cf5caedd9326f8c4cc786738ad4f09cff1d7dca903cde881",
+     "77c1bfa1ffee64e024d8834eb5a09f6715a53a2d3bf5a94a2139325c75ab8297"),
+    (("largeness", "Q8", "x1^2=#e"),
+     "60f345acc3663622a34afec8a23d2319e9a4dba4baf37064b8d3492991c9efcc",
+     "cdeb3f3117f6ab6055bd0c72ed1af8f0a45bc940e4f7c6bdc0649d33e16a6685"),
+    (("largeness", "D8", "x1^2*x2=x2*x1^2"),
+     "200c09b3692dd59a8251755027be849061a362777101754116ca32ab3ced3e57",
+     "b3a59b45787f698d99ed5e25caa06e295796f2577bce529765a3b3850ad09fe3"),
+    (("cover", "S3", "--subset", "solutions:x1*x2=x2*x1"),
+     "6145e893d049ef50bd644788108c9d485cce649878878f2fdb552d8adc2881cd",
+     "552ca535e26348f82f3f58d4ee9e9d5a4ed16ae297da376b848a9209e4d4afe2"),
+    (("cover", "D4", "--subset", "solutions:[x1,x2]=#e"),
+     "51241bca7c63c0dd22fbd385c62e48e96753eb69d9ef360e5eed01656476c9f0",
+     "afd2e0dbf13b03823c8f37d8aae5c8d08da0251dc955f069690b4f3c801396b2"),
+    (("cover", "Q8", "--subset", "solutions:x1^2=#e"),
+     "40f427fa45fd5f9748babc5e16b32aa7216e7b4fa1b8640c486621e11f7f194f",
+     "de122ede7ab152dd1a7f43c2a2df44d6961c8b6a531c001d7d57f4b6da700455"),
+    (("cover", "D8", "--subset", "solutions:x1^2*x2=x2*x1^2"),
+     "a8ab6e1ddbb0f34ded6790e88c54e156062e92e522f6cce48242b711bcdfcd15",
+     "5eda6fa0a675d659d35e1271f70716099187fe88969ae5e4ace05fd830a0a94d"),
+    (("cover", "C2", "--subset", "solutions:x1^2=#e"),
+     "b20a9a5ef9a0700b934f343dd1a8114d452b45ee96771be83b61f6111010e272",
+     "77859f1355e53ab6622d04503432f1a61f9f5335010dbf07fb3bbad48cac61da"),
+    (("cover", "D4", "--subset", "solutions:[x1,x2]=c", "--const", "c=2"),
+     "1ede9f650e56a9980ee6aa19b6abfe90599a344ffe1392a4b1b4f55c12c4771a",
+     "9afa938ca1f2293a654f402d2f93044b19f60f0c47feff0983be63c74e9120c3"),
+    (("largeness", "C2", "x1^2=#e"),
+     "30fdbf29986405be8fcc9ea4ad04c0f955bf1ed16afab8020d3ba2ed6fb8b88c",
+     "a3c954214a53867f0218da9c0e1b7d66e1b734e739b71292e41a301dce875426"),
+    (("largeness", "C2", "x1*x1^-1=#1"),
+     "0e8b44a4d29ed9e3478a46196f8aa61bffc9bab029127a96d655c030a9ce79ca",
+     "ad3d1b95001c7c11745ff9b8f2bc859c67a11fe706f1c6b44dd75171c40543d3"),
+    (("largeness", "D4", "[x1,x2]=c", "--const", "c=2"),
+     "b4a3b10d10653ec6266f3c5df5f3d78aeed09cbfc832dd51b86e1735367c35fc",
+     "7aebd81e72ee869aeff9eac741dfbf92a0ca7c1e5c2f700231fdb12cc7d08c35"),
+]
+
+
+def test_cover_and_largeness_bytes():
+    for argv, *digests in COVER_PINS:
+        for fmt, digest in zip(("text", "json"), digests):
+            code, out, _ = run_cli(*argv, "--format", fmt)
+            assert code == 0, (argv, fmt)
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, \
+                (argv, fmt)
+
+
 def test_usage_errors_exit_2():
     assert run_cli("prob", "Z9", "x1=#e")[0] == 2
     _, _, err = run_cli("prob", "Z9", "x1=#e")
@@ -344,28 +397,28 @@ def test_usage_errors_exit_2():
     assert run_cli("frobnicate")[0] == 2
 
 
-def test_budget_exhaustion_exits_3(monkeypatch):
-    monkeypatch.setenv("EQLARGE_BUDGET_NODES", "2")
-    code, _, err = run_cli("cover", "S4", "--subset", json.dumps(BUDGET_TRAP))
+def test_budget_exhaustion_exits_3():
+    code, _, err = run_cli("cover", "S4", "--subset", json.dumps(BUDGET_TRAP),
+                           "--budget-nodes", "2")
     assert code == 3
     assert "nodes" in err
 
 
-def test_bad_node_cap_exits_2(monkeypatch):
+def test_the_node_cap_is_set_by_the_option_alone(monkeypatch):
+    # the environment sets no cap: the trap above is searched in full
+    monkeypatch.setenv("EQLARGE_BUDGET_NODES", "2")
+    code, out, _ = run_cli("cover", "S4", "--subset", json.dumps(BUDGET_TRAP))
+    assert code == 0
+    assert out.splitlines()[0] == "4"
+
+
+def test_bad_node_cap_exits_2():
     subset = ("cover", "C4", "--subset", '{"elements": [0, 1]}')
     for raw in ("abc", "-5", "0"):
-        monkeypatch.setenv("EQLARGE_BUDGET_NODES", raw)
-        code, _, err = run_cli(*subset)
-        assert code == 2, raw
-        assert "positive integer" in err
-        assert "Traceback" not in err
-    monkeypatch.delenv("EQLARGE_BUDGET_NODES")
-    for raw in ("-5", "0"):
         code, _, err = run_cli(*subset, "--budget-nodes", raw)
         assert code == 2, raw
         assert "positive integer" in err
         assert "Traceback" not in err
-    monkeypatch.setenv("EQLARGE_BUDGET_NODES", "abc")
     code, out, _ = run_cli(*subset, "--budget-nodes", "5")
     assert code == 0
     assert out.splitlines()[0] == "2"

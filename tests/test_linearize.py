@@ -15,7 +15,6 @@ from eqlarge.errors import (
 )
 from eqlarge.group import power
 from eqlarge.linearize import (
-    LinearizeBudget,
     _residues,
     _sample_column,
     check_factor_condition,
@@ -223,8 +222,7 @@ def test_error_cases():
 
 def test_budget_is_enforced():
     with pytest.raises(BudgetExceeded):
-        linearize(parse_word("[[x1,x2],x3]"), (0,), (3,),
-                  budget=LinearizeBudget(max_factors=4))
+        linearize(parse_word("[[x1,x2],x3]"), (0,), (3,), max_factors=4)
 
 
 def sweep_factors():
@@ -271,7 +269,7 @@ def test_linearized_factors_carry_their_variables(v, xbar):
     ybar = tuple(3 + k for k in range(len(xbar)))
     assume(v.var_bits & sum(1 << x for x in xbar))
     try:
-        phi = linearize(v, xbar, ybar, budget=LinearizeBudget(2000))
+        phi = linearize(v, xbar, ybar, max_factors=2000)
     except BudgetExceeded:
         assume(False)
     for w in phi:

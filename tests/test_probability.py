@@ -99,7 +99,7 @@ def test_equation_largeness_reports():
     union = 0
     comm = solution_set(D4, parse_equation("[x1,x2] = #e"))
     P = power(D4, 2)
-    for g in rep3.genericity_certificate.translators:
+    for g in rep3.genericity_certificate:
         for idx in comm.indices():
             union |= 1 << P.mul(g, idx)
     assert union == (1 << P.order) - 1
