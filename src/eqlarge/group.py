@@ -5,9 +5,10 @@ factor groups.  ProductGroup owns the package's one tuple<->index codec
 for products and powers (leftmost factor most significant).  A product's
 rows (row(h): h*z for every z) are folded from the factor rows;
 direct_product and power fold each row on first use and keep it up to
-1024 elements, and multiply componentwise above that.  All derived
-machinery (centralizers, central series, quotients, automorphisms) lives
-here as module-level functions.
+1024 elements, as bytes folded by byte translation up to 256, and
+multiply componentwise above that.  All derived machinery (centralizers,
+central series, quotients, automorphisms) lives here as module-level
+functions.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import itertools
 import math
 from array import array
 from dataclasses import dataclass
-from functools import partial
 
 from .errors import (
     NotAGroup,
@@ -349,18 +349,23 @@ def _joined_name(parts):
     return "(" + ",".join(parts) + ")"
 
 
+# _SHIFT[o] is the translate table of x -> x + o (mod 256) on bytes
+_SHIFT = tuple(map((bytes(range(256)) * 2).__getitem__,
+                   map(slice, range(256), range(256, 512))))
+
+
 class _TabledProduct(TableGroup, ProductGroup):
-    """A product that keeps its rows: each row is folded by ProductGroup.row
-    the first time row(h) or mul(h, z) asks for it and packed, as bytes up
-    to order 256 and as 16-bit array('H') above, so an entry costs one or
-    two bytes rather than a pointer, or a pointer and an int object of its
-    own past 256.  The ProductGroup codec gives tuples, and elements are
-    named by their components."""
+    """A product that keeps its rows: each row is folded the first time
+    row(h) or mul(h, z) asks for it and kept packed, as bytes up to order
+    256 and as 16-bit array('H') above, so an entry costs one or two bytes
+    rather than a pointer, or a pointer and an int object of its own past
+    256.  Bytes rows are folded by byte translation, the rest by
+    ProductGroup.row.  The ProductGroup codec gives tuples, and elements
+    are named by their components."""
 
     def __init__(self, factors, label=None):
         ProductGroup.__init__(self, factors, label)
         self._rows = [None] * self.order
-        self._pack = bytes if self.order <= 256 else partial(array, "H")
         # the inverse of (a, b, ...) is (a^-1, b^-1, ...), folded as rows are
         inverses = (0,)
         for f in self.factors:
@@ -371,10 +376,23 @@ class _TabledProduct(TableGroup, ProductGroup):
         self.names = tuple(map(_joined_name, itertools.product(
             *([f.name(v) for v in range(f.order)] for f in self.factors))))
 
+    def _byte_row(self, h):
+        """Row h as bytes, folded as ProductGroup.row folds it: in P x F,
+        the block of prefix element t is F's row shifted by t * |F|, one
+        C-level translate per block."""
+        row = b"\0"
+        for f, v in zip(self.factors, self.decode(h)):
+            n = f.order
+            frow = bytes(f.row(v))
+            row = b"".join([frow.translate(_SHIFT[t * n]) for t in row])
+        return row
+
     def row(self, h):
         row = self._rows[h]
         if row is None:
-            row = self._rows[h] = self._pack(ProductGroup.row(self, h))
+            row = self._rows[h] = (
+                self._byte_row(h) if self.order <= 256
+                else array("H", ProductGroup.row(self, h)))
         return row
 
     def mul(self, a, b):

@@ -6,6 +6,11 @@ The two notions are complementary: X is k-large exactly when the complement
 of X is not k-generic.  Everything here works on int bitmasks, one bit per
 element, and the cover search is an exact depth-first search that always
 branches on the lowest uncovered element, which keeps results deterministic.
+The search for covers by translates of Y starts from the partial cover
+{Y}, the translate by the identity.  That loses no cover: left-multiplying
+every translator of a cover g1*Y, ..., gk*Y by g1^-1 gives a cover of the
+same size that contains Y, the normalization naive_is_k_large and the
+k = 2 scan use too.
 
 The one question asked of the search is the k-decision.  The genericity
 number, the least k, is found by asking it at k = ceil(|G|/|Y|), the
@@ -88,14 +93,22 @@ class LargenessReport:
 
 
 def _membership(X):
-    """X as a '0'/'1' string whose character i is element i's bit."""
-    return format(X.bits, f"0{X.parent.order}b")[::-1]
+    """X as '0'/'1' characters whose character i is element i's bit: up to
+    order 256 a 256-byte translate table, above it a str."""
+    chars = format(X.bits, f"0{X.parent.order}b")[::-1]
+    if X.parent.order <= 256:
+        return chars.encode().ljust(256, b"0")
+    return chars
 
 
 def _gathered_mask(G, membership, g):
-    """The mask of g*Y from Y's membership string: bit z is set exactly
-    when g^-1 * z lies in Y, so the bits are gathered along row g^-1."""
-    return int("".join(itemgetter(*G.row(G.inv(g)))(membership))[::-1], 2)
+    """The mask of g*Y from Y's membership: bit z is set exactly when
+    g^-1 * z lies in Y, so the bits are gathered along row g^-1, by one
+    translate of the row as bytes up to order 256."""
+    row = G.row(G.inv(g))
+    if G.order <= 256:
+        return int(bytes(row).translate(membership)[::-1], 2)
+    return int("".join(itemgetter(*row)(membership))[::-1], 2)
 
 
 def left_translate(G, X, g):
@@ -109,6 +122,8 @@ GREEDY_SPAN = 16
 class _CoverSearch:
     """Whether G is covered by k left translates g*Y: a capped greedy cover
     first, then a depth-first search when the greedy cover is too large.
+    The search starts from {Y}, the identity's translate, since a cover
+    g1*Y, ..., gk*Y left-multiplied by g1^-1 is a cover that contains Y.
 
     Distinct translators can give the same translate when Y is a union of
     right cosets, so the translates through each element are deduplicated
@@ -186,15 +201,16 @@ class _CoverSearch:
 
     def search(self, k):
         """A cover by at most k translates, as a tuple of translators, or
-        None: the greedy cover if it fits, else the first one found.  The
-        greedy cover runs once per search object, and the node cap bounds
-        each call's DFS."""
+        None: the greedy cover if it fits, else the first one found from
+        {Y} on.  The greedy cover runs once per search object, and the
+        node cap bounds each call's DFS."""
         if self.greedy_cover is None:
             self.greedy_cover = self.greedy()
         if len(self.greedy_cover) <= k:
             return self.greedy_cover
         self.nodes = 0
-        return self.dfs(self.full, [], k)
+        e = self.G.identity
+        return self.dfs(self.full & ~self.translate_mask(e), [e], k)
 
     def dfs(self, uncovered, chosen, k):
         """The first cover by at most k translates extending chosen."""

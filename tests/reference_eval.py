@@ -3,8 +3,10 @@ evaluator, the recursive variable walk it used before every node carried
 its var_bits, the set-based factor condition of the linearization, the
 isinstance printer to_text used before it dispatched on exact node
 types, the automorphism search that tested every pair (a, b) before it
-tested only generators, and the compiler walk that words._compile
-replaced, kept as slow, independent oracles for the tests."""
+tested only generators, the compiler walk that words._compile
+replaced, and a cover search with neither the greedy cover nor the
+start from Y of largeness._CoverSearch, kept as slow, independent
+oracles for the tests."""
 
 import itertools
 from array import array
@@ -318,3 +320,34 @@ def compile_program(roots, product):
     prog = _schedule(ops, left, right, keys, out)
     prog.variables, prog.names = tuple(variables), tuple(names)
     return prog
+
+
+def cover_decision(G, Y, k):
+    """The translators of a cover of G by at most k left translates of Y,
+    or None: the first cover met by a depth-first search from the empty
+    cover that branches on the lowest uncovered element e, over every
+    translator e * y^-1 in Y order, and prunes by the counting bound.
+    Masks come from a G.mul loop."""
+    ys = list(Y.indices())
+    full = (1 << G.order) - 1
+    masks = {}
+
+    def mask(g):
+        if g not in masks:
+            masks[g] = sum({1 << G.mul(g, y) for y in ys})
+        return masks[g]
+
+    def dfs(uncovered, chosen):
+        if not uncovered:
+            return tuple(chosen)
+        if len(chosen) + -(-uncovered.bit_count() // len(ys)) > k:
+            return None
+        e = (uncovered & -uncovered).bit_length() - 1
+        for y in ys:
+            g = G.mul(e, G.inv(y))
+            sel = dfs(uncovered & ~mask(g), chosen + [g])
+            if sel is not None:
+                return sel
+        return None
+
+    return dfs(full, [])

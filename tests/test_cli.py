@@ -16,7 +16,8 @@ from eqlarge.catalog import catalog
 from eqlarge.verifier import CHECKS
 from eqlarge.words import MAX_VARIABLE, MAX_WORD_HEIGHT
 
-BUDGET_TRAP = {"elements": [2, 3, 8, 12, 14, 15, 18, 19]}
+# eight elements of S4 whose 4-translate decision takes 66 search nodes
+BUDGET_TRAP = {"elements": [9, 10, 12, 14, 18, 20, 22, 23]}
 
 
 def run_cli(*argv):
@@ -33,8 +34,9 @@ def run_cli(*argv):
 @contextlib.contextmanager
 def small_caps():
     """Products and powers past 4096 elements and searches past 2000 nodes
-    (the --budget-nodes default) are declined with 3, which keeps every
-    fuzzed command quick."""
+    are declined with 3, which keeps every fuzzed command quick.  The
+    --budget-nodes default is NODE_CAP, 10**7 nodes; the fixture patches
+    it down to 2000."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(group, "INDEX_BOUND", 4096)
         mp.setattr(cli, "NODE_CAP", 2000)

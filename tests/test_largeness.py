@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_eval as ref
 from eqlarge import cli, largeness
 from eqlarge.catalog import catalog, catalog_upto
 from eqlarge.errors import BudgetExceeded, EmptySubset
@@ -271,17 +272,21 @@ def test_reports_of_one_input_are_equal():
 
 
 def test_decision_keeps_the_first_cover_within_k():
-    # at most 6 translates: the first cover met, not a least one
+    # at most 6 translates: the first cover met, from Y itself on; for
+    # {3, 5, 10} it is a least one, for {0, 1, 5} it is not
     C15 = catalog("C15")
     Y = Subset(C15, 1064)
-    assert is_k_generic(C15, Y, 6) == (True, (5, 6, 12, 0, 9, 3))
-    assert cover_number(C15, Y) == (5, (5, 11, 14, 8, 2))
+    assert is_k_generic(C15, Y, 6) == (True, (0, 12, 6, 9, 3))
+    assert cover_number(C15, Y) == (5, (0, 12, 6, 9, 3))
+    Y = Subset(C15, 35)
+    assert is_k_generic(C15, Y, 6) == (True, (0, 2, 3, 6, 9, 12))
+    assert cover_number(C15, Y)[0] == 5
 
 
 def test_least_cover_keeps_the_first_of_equal_size():
-    # replacing the best cover on an equal-size leaf gives (4, 10, 1, 13)
+    # the least cover is the first cover the k = 4 decision meets
     C18 = catalog("C18")
-    assert largeness_number(C18, Subset(C18, 242039)) == (3, (4, 10, 1, 2))
+    assert largeness_number(C18, Subset(C18, 242039)) == (3, (0, 9, 1, 3))
 
 
 MID_GROUPS = [G for G in catalog_upto(24) if 9 <= G.order]
@@ -395,6 +400,51 @@ def test_capped_decisions_match_the_definition(case, k):
         assert covers_by_mul(G, Y, cert)
 
 
+def check_decisions_against_the_oracle(G, Y):
+    """is_k_generic, with the memo emptied before each decision, against
+    the unanchored search of reference_eval from k = ceil(|G|/|Y|) up to
+    the cover number."""
+    k = -(-G.order // Y.size)
+    while True:
+        G._decisions.clear()
+        generic, cert = is_k_generic(G, Y, k)
+        expected = ref.cover_decision(G, Y, k)
+        assert generic == (expected is not None), (G.label, Y.bits, k)
+        if generic:
+            assert len(cert) <= k and covers_by_mul(G, Y, cert)
+            assert len(expected) <= k and covers_by_mul(G, Y, expected)
+            break
+        k += 1
+    G._decisions.clear()
+    assert cover_number(G, Y)[0] == k
+
+
+@given(mid_subsets([G for G in catalog_upto(24) if G.order >= 2]))
+@settings(max_examples=60, deadline=None)
+def test_decisions_match_the_unanchored_search(case):
+    check_decisions_against_the_oracle(*case)
+
+
+@given(st.sampled_from(CAPPED_GROUPS), st.integers(0, 2 ** 32))
+@settings(max_examples=25, deadline=None)
+def test_capped_decisions_match_the_unanchored_search(G, seed):
+    # 3/8 to 5/8 of G, where the oracle refutes k = 3 or 4 quickly
+    rng = random.Random(seed)
+    size = rng.randint(G.order * 3 // 8, G.order * 5 // 8)
+    check_decisions_against_the_oracle(
+        G, Subset.from_indices(G, rng.sample(range(G.order), size)))
+
+
+def test_solution_set_decisions_match_the_unanchored_search():
+    for G in catalog_upto(8):
+        for eq in ["x1*x2=x2*x1", "x1^2*x2=x2*x1^2", "x1*x2*x1=x2",
+                   "x1^2=x2^2"]:
+            X = solution_set(G, eq).as_subset()
+            for Y in (X, X.complement()):
+                if Y.size:
+                    check_decisions_against_the_oracle(Y.parent, Y)
+
+
 def test_a_greedy_miss_is_closed_by_the_search():
     # 38 of D4^2's 64 elements: the greedy scores every second translator
     # through each element and needs 4 translates, where 3 suffice
@@ -412,12 +462,31 @@ def test_a_greedy_miss_is_closed_by_the_search():
 
 # cheap equations for every group of catalog<=16, and the commutation
 # equations on the groups of order 8 or less: on A4 their least cover
-# takes 176,800 search nodes over the decisions k = 3, 4 and 5
+# takes 69,535 search nodes over the decisions k = 3, 4 and 5
 CERTIFICATE_QUERIES = [
     (G.label, eq)
     for G in catalog_upto(16)
     for eq in ["x1^2=#e", "x1^3=x1", "x1*x2=#e", "x1^2*x2=x2*x1^2"]
     + (["x1*x2=x2*x1", "[x1,x2]=#e"] if G.order <= 8 else [])]
+
+
+def test_the_a4_commuting_set_searches_from_y(monkeypatch):
+    # 48 of A4^2's 144 elements; the greedy cover has 7 translates, so
+    # the decisions k = 3, 4 and 5 all search, which takes 176,800 nodes
+    # from the empty cover
+    nodes = []
+    search = _CoverSearch.search
+
+    def counted(self, k):
+        self.nodes = 0
+        sel = search(self, k)
+        nodes.append(self.nodes)
+        return sel
+
+    monkeypatch.setattr(_CoverSearch, "search", counted)
+    X = solution_set(catalog("A4"), "x1*x2=x2*x1").as_subset()
+    assert cover_number(X.parent, X) == (5, (0, 14, 69, 76, 127))
+    assert len(nodes) == 3 and sum(nodes) <= 70_000
 
 
 def cli_json(*argv):
