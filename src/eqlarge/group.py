@@ -5,10 +5,10 @@ factor groups.  ProductGroup owns the package's one tuple<->index codec
 for products and powers (leftmost factor most significant).  A product's
 rows (row(h): h*z for every z) are folded from the factor rows;
 direct_product and power fold each row on first use and keep it up to
-1024 elements, as bytes folded by byte translation up to 256, and
-multiply componentwise above that.  All derived machinery (centralizers,
-central series, quotients, automorphisms) lives here as module-level
-functions.
+1024 elements, as bytes folded by byte translation up to 256 and as
+16-bit rows joined from packed blocks above, and multiply componentwise
+past 1024.  All derived machinery (centralizers, central series,
+quotients, automorphisms) lives here as module-level functions.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ class TableGroup(Group):
 
     def __init__(self, table, names=None, label="G", validate=True):
         super().__init__()
-        rows = tuple(tuple(int(v) for v in row) for row in table)
+        rows = tuple(tuple(map(int, row)) for row in table)
         n = len(rows)
         if n == 0:
             raise NotAGroup("empty table")
@@ -169,11 +169,12 @@ class TableGroup(Group):
             if len(row) != n:
                 raise NotAGroup(f"row {i} has length {len(row)}, expected {n}",
                                 witness=(i,))
-            for j, v in enumerate(row):
-                if not 0 <= v < n:
-                    raise NotAGroup(
-                        f"entry ({i},{j}) = {v} is outside 0..{n - 1}",
-                        witness=(i, j))
+            if min(row) < 0 or max(row) >= n:
+                j, v = next((j, v) for j, v in enumerate(row)
+                            if not 0 <= v < n)
+                raise NotAGroup(
+                    f"entry ({i},{j}) = {v} is outside 0..{n - 1}",
+                    witness=(i, j))
         self.order = n
         self.table = rows
         self.names = tuple(names) if names is not None else None
@@ -359,9 +360,8 @@ class _TabledProduct(TableGroup, ProductGroup):
     row(h) or mul(h, z) asks for it and kept packed, as bytes up to order
     256 and as 16-bit array('H') above, so an entry costs one or two bytes
     rather than a pointer, or a pointer and an int object of its own past
-    256.  Bytes rows are folded by byte translation, the rest by
-    ProductGroup.row.  The ProductGroup codec gives tuples, and elements
-    are named by their components."""
+    256.  ProductGroup.row is the rows' oracle.  The ProductGroup codec
+    gives tuples, and elements are named by their components."""
 
     def __init__(self, factors, label=None):
         ProductGroup.__init__(self, factors, label)
@@ -375,24 +375,35 @@ class _TabledProduct(TableGroup, ProductGroup):
         self.inverses = inverses
         self.names = tuple(map(_joined_name, itertools.product(
             *([f.name(v) for v in range(f.order)] for f in self.factors))))
+        # 16-bit blocks by (factor position, value), built by _fold
+        self._blocks = {}
 
-    def _byte_row(self, h):
-        """Row h as bytes, folded as ProductGroup.row folds it: in P x F,
-        the block of prefix element t is F's row shifted by t * |F|, one
-        C-level translate per block."""
+    def _fold(self, h):
+        """Row h, folded as ProductGroup.row folds it: in P x F, the block
+        of prefix element t is F's row shifted by t * |F|, one translate of
+        F's row as bytes while P x F has at most 256 elements.  Past that,
+        F's row v is kept as its packed 16-bit shift for every t, 2 * |P x
+        F| * |F| bytes for all of F, and a step is one join of those."""
         row = b"\0"
-        for f, v in zip(self.factors, self.decode(h)):
+        for i, (f, v) in enumerate(zip(self.factors, self.decode(h))):
             n = f.order
-            frow = bytes(f.row(v))
-            row = b"".join([frow.translate(_SHIFT[t * n]) for t in row])
+            if len(row) * n <= 256:
+                frow = bytes(f.row(v))
+                row = b"".join([frow.translate(_SHIFT[t * n]) for t in row])
+                continue
+            blocks = self._blocks.get((i, v))
+            if blocks is None:
+                frow = f.row(v)
+                blocks = self._blocks[i, v] = [
+                    array("H", [t * n + x for x in frow]).tobytes()
+                    for t in range(len(row))]
+            row = array("H", b"".join(map(blocks.__getitem__, row)))
         return row
 
     def row(self, h):
         row = self._rows[h]
         if row is None:
-            row = self._rows[h] = (
-                self._byte_row(h) if self.order <= 256
-                else array("H", ProductGroup.row(self, h)))
+            row = self._rows[h] = self._fold(h)
         return row
 
     def mul(self, a, b):
@@ -546,12 +557,21 @@ def from_permutation_generators(degree, generators, label=None):
 
 def _composition_group(perms, names, label):
     """Distinct permutation tuples as a group: element i times element j
-    is perms[i] after perms[j].  NotAGroup when the set is not closed."""
+    is perms[i] after perms[j].  Up to degree 256 the permutations are
+    bytes, and p after q is one translate, q.translate(p) with p padded to
+    a 256-byte table.  NotAGroup when the set is not closed."""
+    if len(perms[0]) <= 256:
+        perms = [bytes(p) for p in perms]
     index = {p: i for i, p in enumerate(perms)}
     table = []
     for p in perms:
         try:
-            table.append([index[tuple(p[i] for i in q)] for q in perms])
+            if type(p) is bytes:
+                after = itertools.repeat(p.ljust(256, b"\0"))
+                table.append(list(map(index.__getitem__,
+                                      map(bytes.translate, perms, after))))
+            else:
+                table.append([index[tuple(p[i] for i in q)] for q in perms])
         except KeyError:
             raise NotAGroup("permutation set is not closed under "
                             "composition") from None

@@ -31,8 +31,9 @@ every k' <= k.  The memo holds ints and tuples only and dies with the group.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .errors import BudgetExceeded, EmptySubset
 from .group import Subset, subgroup_as_group
@@ -43,7 +44,6 @@ __all__ = [
     "UNBOUNDED",
     "INFINITE",
     "at_least",
-    "left_translate",
     "cover_number",
     "is_k_generic",
     "is_k_large",
@@ -94,25 +94,40 @@ class LargenessReport:
 
 def _membership(X):
     """X as '0'/'1' characters whose character i is element i's bit: up to
-    order 256 a 256-byte translate table, above it a str."""
-    chars = format(X.bits, f"0{X.parent.order}b")[::-1]
-    if X.parent.order <= 256:
-        return chars.encode().ljust(256, b"0")
-    return chars
+    order 256 a 256-byte translate table, above it one (table, indicator)
+    pair per page of 256 elements, the indicator mapping the page's high
+    byte to '1' and every other to '0'."""
+    n = X.parent.order
+    chars = format(X.bits, f"0{n}b")[::-1].encode().ljust(256, b"0")
+    if n <= 256:
+        return chars
+    return [(chars[p:p + 256].ljust(256, b"0"),
+             b"0" * j + b"1" + b"0" * (255 - j))
+            for j, p in enumerate(range(0, n, 256))]
+
+
+# the bytes of a 16-bit array that hold its entries' low bytes
+_LOW = 0 if sys.byteorder == "little" else 1
 
 
 def _gathered_mask(G, membership, g):
     """The mask of g*Y from Y's membership: bit z is set exactly when
     g^-1 * z lies in Y, so the bits are gathered along row g^-1, by one
-    translate of the row as bytes up to order 256."""
+    translate of the row as bytes up to order 256.  Above it the gather is
+    paged as words._PackedColumns pages its columns: the ORed int lanes of
+    each page's translate of the row's low bytes ANDed with its indicator's
+    translate of the high bytes.  On '0' and '1' (0x30, 0x31) AND and OR
+    act as on the digits, so the lanes read back as the mask in binary."""
     row = G.row(G.inv(g))
     if G.order <= 256:
         return int(bytes(row).translate(membership)[::-1], 2)
-    return int("".join(itemgetter(*row)(membership))[::-1], 2)
-
-
-def left_translate(G, X, g):
-    return Subset(X.parent, _gathered_mask(G, _membership(X), g))
+    packed = (row if type(row) is array else array("H", row)).tobytes()
+    low, high = packed[_LOW::2], packed[1 - _LOW::2]
+    lanes = 0
+    for table, indicator in membership:
+        lanes |= (int.from_bytes(low.translate(table), "little")
+                  & int.from_bytes(high.translate(indicator), "little"))
+    return int(lanes.to_bytes(G.order, "big"), 2)
 
 
 # About this many translators are scored at each step of the greedy cover

@@ -6,7 +6,9 @@ first yield when the hypothesis never applies.  The registry names each
 check by its function and runs it through _verdict, which reports whether
 the hypothesis applied at all (vacuous otherwise), whether the conclusion
 held on every instance, and where meaningful a minimal margin: the gap
-between an upper bound and the measured fraction, as an exact Fraction.
+between an upper bound and the measured fraction.  A case gives its margin
+as an unnormalized (numerator, denominator) pair of ints, and _verdict
+turns the least one into the check's one exact Fraction.
 Checks never weaken on failure; a false conclusion surfaces as
 passed=False with a witness.  check_autocomm, which names a witness when
 it passes, builds its own CheckResult.
@@ -41,6 +43,7 @@ from .group import (
     automorphism_group,
     center,
     centralizer,
+    class_count,
     conjugacy_classes,
     derived_subgroup,
     exponent,
@@ -111,20 +114,23 @@ def _verdict(check_id, cases_of, G):
     """The one way a check becomes a CheckResult: the registry runs every
     check but autocomm through here, bound to its id.  cases_of(G) yields
     a (margin, witness) pair for each instance whose hypothesis holds:
-    margin is bound - measured, or None when the instance has no bound,
-    and witness is None when the conclusion held.  The hypothesis holds
-    once a case is given, and the margin is the least one given.  The
-    first witness fails the check, with no margin; the cases after it are
-    not drawn."""
+    margin is bound - measured as an int pair (num, den) with den > 0, or
+    None when the instance has no bound, and witness is None when the
+    conclusion held.  The hypothesis holds once a case is given, and the
+    margin is the least one given, compared by cross-multiplying and
+    reported as a Fraction.  The first witness fails the check, with no
+    margin; the cases after it are not drawn."""
     hyp = False
-    margin = None
+    least = None
     for m, witness in cases_of(G):
         if witness is not None:
             return CheckResult(check_id, G.label, True, False, None, witness)
         hyp = True
-        if m is not None:
-            margin = m if margin is None else min(margin, m)
-    return CheckResult(check_id, G.label, hyp, True, margin, None)
+        if m is not None and (least is None
+                              or m[0] * least[1] < least[0] * m[1]):
+            least = m
+    return CheckResult(check_id, G.label, hyp, True,
+                       None if least is None else Fraction(*least), None)
 
 
 # "seed:check_id" of the run_check call in progress
@@ -189,13 +195,16 @@ def _by_value(G, text, constants=None):
     return next(_slices(G, text, (), constants))
 
 
-def _case(bound, mu, fields, large=False):
-    """The case of a fraction mu held to bound: its margin, or the fields
-    with the fraction as a witness when mu passes the bound or the solution
-    set is large."""
-    if mu > bound or large:
-        return None, {**fields, "fraction": str(mu)}
-    return bound - mu, None
+def _case(bound, count, total, fields, large=None):
+    """The case of the fraction count/total held to the Fraction bound p/q,
+    in ints: the margin (p*total - count*q, q*total), or the fields with
+    the fraction as a witness when count*q > p*total or, the bound holding,
+    large() is true."""
+    p, q = bound.numerator, bound.denominator
+    gap = p * total - count * q
+    if gap < 0 or large is not None and large():
+        return None, {**fields, "fraction": str(Fraction(count, total))}
+    return (gap, q * total), None
 
 
 def _bounded(instances, k=None):
@@ -203,9 +212,8 @@ def _bounded(instances, k=None):
     solution set, witness fields); with k given, a k-large solution set
     fails its instance too."""
     for bound, sols, fields in instances:
-        mu = sols.fraction()
-        yield _case(bound, mu, fields,
-                    mu <= bound and k is not None and _power_large(sols, k))
+        yield _case(bound, sols.count, sols.group.order ** sols.arity, fields,
+                    None if k is None else partial(_power_large, sols, k))
 
 
 def _noncentral(G):
@@ -229,8 +237,8 @@ def check_miller_bound(G):
     dividing 2."""
     if is_abelian(G):
         return
-    mu = _by_value(G, "x1^2")[G.identity].fraction()
-    yield _case(Fraction(3, 4), mu, {})
+    yield _case(Fraction(3, 4), _by_value(G, "x1^2")[G.identity].count,
+                G.order, {})
 
 
 def check_laffey_p(G):
@@ -263,7 +271,7 @@ def check_erdos_turan(G):
     """The fraction of commuting pairs equals classes over order."""
     mu = _by_value(G, "[x1,x2]")[G.identity].fraction()
     expected = commuting_probability(G)
-    yield ((Fraction(0, 1), None) if mu == expected else
+    yield (((0, 1), None) if mu == expected else
            (None, {"measured": str(mu), "class_ratio": str(expected)}))
 
 
@@ -271,7 +279,7 @@ def check_gustafson_58(G):
     """A non-abelian group has commuting probability at most 5/8."""
     if is_abelian(G):
         return
-    yield _case(Fraction(5, 8), commuting_probability(G), {})
+    yield _case(Fraction(5, 8), class_count(G), G.order, {})
 
 
 # --- covers of small subsets ------------------------------------------------
@@ -327,13 +335,12 @@ def check_measure_lemma(G):
             continue
         X = Subset(G, bits)
         m = X.size
-        mu = Fraction(m, n)
         k, _sel = cover_number(G, X)
-        if mu < Fraction(1, k):
+        if m * k < n:
             yield None, {"subset_size": m, "cover": k}
         L, _c = largeness_number(G, X)
         k2 = next((k2 for k2 in range(1, 7)
-                   if mu > 1 - Fraction(1, k2) and not at_least(L, k2)),
+                   if m * k2 > (k2 - 1) * n and not at_least(L, k2)),
                   None)
         yield None, None if k2 is None else {"subset_size": m, "k": k2}
 
@@ -448,7 +455,7 @@ def check_center_gcd(G):
             if _power_large(sols, 2):
                 yield None, None if divides else fields
             if not divides:
-                yield _case(Fraction(1, 2), sols.fraction(), fields)
+                yield _case(Fraction(1, 2), sols.count, G.order ** 2, fields)
 
 
 # --- order two and order three ----------------------------------------------
@@ -483,8 +490,8 @@ def check_xaxb(G):
             if sols != right.get(b):
                 yield None, {"a": a, "b": b}
             if not (exp2_abelian and a == b):
-                mu = Fraction(sols.count if sols else 0, G.order)
-                yield _case(Fraction(3, 4), mu, {"a": a, "b": b})
+                yield _case(Fraction(3, 4), sols.count if sols else 0,
+                            G.order, {"a": a, "b": b})
 
 
 def _cube_solutions(G):
@@ -514,7 +521,7 @@ def check_cube_67(G):
     seventh of the group."""
     if 3 % exponent(G) == 0:
         return
-    yield _case(Fraction(6, 7), _cube_solutions(G).fraction(), {})
+    yield _case(Fraction(6, 7), _cube_solutions(G).count, G.order, {})
 
 
 # --- commutator equations ---------------------------------------------------

@@ -20,13 +20,13 @@ def compiles(monkeypatch):
 
 @pytest.fixture
 def folds(monkeypatch):
-    """The list returned gets (product, h) for every product row that
-    ProductGroup.row folds during the test."""
-    folded, fold = [], group.ProductGroup.row
+    """The list returned gets (product, h) for every row that a tabled
+    product folds during the test."""
+    folded, fold = [], group._TabledProduct._fold
 
     def counted(P, h):
         folded.append((P, h))
         return fold(P, h)
 
-    monkeypatch.setattr(group.ProductGroup, "row", counted)
+    monkeypatch.setattr(group._TabledProduct, "_fold", counted)
     return folded

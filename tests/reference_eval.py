@@ -5,14 +5,16 @@ isinstance printer to_text used before it dispatched on exact node
 types, the automorphism search that tested every pair (a, b) before it
 tested only generators, the compiler walk that words._compile
 replaced, and a cover search with neither the greedy cover nor the
-start from Y of largeness._CoverSearch, kept as slow, independent
-oracles for the tests."""
+start from Y of largeness._CoverSearch, left translates by a G.mul loop,
+where largeness gathers them along rows, and permutation composition on
+tuples, where group composes bytes by translate, kept as slow,
+independent oracles for the tests."""
 
 import itertools
 from array import array
 
 from eqlarge.errors import ArityMismatch
-from eqlarge.group import ProductGroup, _greedy_generators
+from eqlarge.group import ProductGroup, Subset, _greedy_generators
 from eqlarge.words import (
     _COMM,
     _IDENTITY,
@@ -351,3 +353,19 @@ def cover_decision(G, Y, k):
         return None
 
     return dfs(full, [])
+
+
+def left_translate(G, X, g):
+    """g*X, one G.mul per element of X."""
+    bits = 0
+    for x in X.indices():
+        bits |= 1 << G.mul(g, x)
+    return Subset(X.parent, bits)
+
+
+def composition_table(perms):
+    """Entry (i, j): the index of perms[i] after perms[j], composed as
+    tuples."""
+    index = {p: i for i, p in enumerate(perms)}
+    return tuple(tuple(index[tuple(p[x] for x in q)] for q in perms)
+                 for p in perms)

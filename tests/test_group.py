@@ -1,4 +1,5 @@
 from array import array
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from eqlarge.group import (
     ProductGroup,
     Subset,
     TableGroup,
+    _composition_group,
     automorphism_group,
     center,
     centralizer,
@@ -93,6 +95,21 @@ def test_permutation_generators():
     assert T.order == 1
 
 
+def test_composition_tables_match_tuple_composition():
+    # bytes compose by translate up to degree 256, tuples past it
+    ident, flip = tuple(range(300)), tuple(reversed(range(300)))
+    cases = [automorphism_group(catalog("E2^3")),
+             inner_automorphisms(catalog("D8")),
+             (_composition_group(list(permutations(range(5))), None, "S5"),
+              list(permutations(range(5)))),
+             (_composition_group([ident, flip], None, "C2"), [ident, flip])]
+    for A, perms in cases:
+        assert A.table == ref.composition_table(perms), A.label
+    for perms in ([(0, 1, 2), (1, 2, 0)], [ident, (1, 2, 0) + ident[3:]]):
+        with pytest.raises(NotAGroup):
+            _composition_group(perms, None, "not closed")
+
+
 def test_axioms_hold_for_constructed_groups():
     for spec in ("C6", "S3", "D4", "Q8", "H2", "C2xC3"):
         check_axioms(catalog(spec))
@@ -112,13 +129,15 @@ def test_products_and_powers():
 
 def test_product_tables_pack_their_rows():
     # a product with C1 factors, a nested product, the two ends of the
-    # tabled range, and Aut(D7)xD7, whose 588 elements give array('H')
-    # rows; rows are checked against componentwise products, every row up
-    # to order 256 and every 37th above
+    # tabled range, and S4^2, C17xC17 and Aut(D7)xD7, whose 576, 289 and
+    # 588 elements give array('H') rows; rows are checked against
+    # componentwise products, every row up to order 256 and every 37th
+    # above
     C2, D7 = catalog("C2"), catalog("D7")
     for P in (catalog("C2xC1xS3xC3xC3"),
               direct_product(direct_product(C2, catalog("C3")), catalog("Q8")),
-              power(C2, 10), power(C2, 0),
+              power(C2, 10), power(C2, 0), power(catalog("S4"), 2),
+              catalog("C17xC17"),
               direct_product(automorphism_group(D7)[0], D7)):
         assert isinstance(P, TableGroup) and isinstance(P, ProductGroup)
         step = 1 if P.order <= 256 else 37
@@ -132,7 +151,9 @@ def test_product_tables_pack_their_rows():
                 # folded by byte translation, ProductGroup.row is the oracle
                 assert row == bytes(ProductGroup.row(P, a)), P.label
             else:
+                # joined from 16-bit blocks, with the same oracle
                 assert type(row) is array and row.typecode == "H", P.label
+                assert row == array("H", ProductGroup.row(P, a)), P.label
         assert P.inverses == tuple(
             ProductGroup.inv(P, a) for a in range(P.order)), P.label
         assert P.names == tuple(

@@ -37,7 +37,6 @@ from eqlarge.largeness import (
     is_k_large,
     largeness_number,
     largeness_report,
-    left_translate,
     naive_is_k_large,
     restrict_largeness,
 )
@@ -55,9 +54,9 @@ def subset(G, indices):
 
 def test_left_translate():
     X = subset(C4, [0, 1])
-    assert sorted(left_translate(C4, X, 1).indices()) == [1, 2]
-    assert sorted(left_translate(C4, X, 3).indices()) == [0, 3]
-    assert left_translate(C4, X, 0) == X
+    assert sorted(ref.left_translate(C4, X, 1).indices()) == [1, 2]
+    assert sorted(ref.left_translate(C4, X, 3).indices()) == [0, 3]
+    assert ref.left_translate(C4, X, 0) == X
 
 
 def test_cover_number_half_of_c4():
@@ -89,7 +88,7 @@ def test_singleton_genericity():
     assert ok3
     union = 0
     for g in cert3:
-        union |= left_translate(C3, e, g).bits
+        union |= ref.left_translate(C3, e, g).bits
     assert union == (1 << C3.order) - 1
 
 
@@ -101,7 +100,8 @@ def test_index_two_subgroup_is_exactly_1_large():
     # the certificate names two translates of the subgroup with empty
     # intersection
     a, b = cert
-    inter = left_translate(D4, rot, a).bits & left_translate(D4, rot, b).bits
+    inter = (ref.left_translate(D4, rot, a).bits
+             & ref.left_translate(D4, rot, b).bits)
     assert inter == 0
     assert largeness_number(D4, rot)[0] == 1
 
@@ -177,7 +177,7 @@ def test_largeness_monotone_in_k(bits, k):
 @settings(max_examples=60, deadline=None)
 def test_numbers_are_translate_invariant(bits, g):
     X = Subset(D4, bits)
-    Y = left_translate(D4, X, g)
+    Y = ref.left_translate(D4, X, g)
     assert largeness_number(D4, X)[0] == largeness_number(D4, Y)[0]
     assert cover_number(D4, X)[0] == cover_number(D4, Y)[0]
 
@@ -199,14 +199,14 @@ def test_certificates_check_out():
     gnum, cert = cover_number(S3, X)
     union = 0
     for g in cert:
-        union |= left_translate(S3, X, g).bits
+        union |= ref.left_translate(S3, X, g).bits
     assert union == (1 << S3.order) - 1
     assert len(cert) == gnum
     lnum, lcert = largeness_number(S3, X)
     comp = X.complement()
     union = 0
     for g in lcert:
-        union |= left_translate(S3, comp, g).bits
+        union |= ref.left_translate(S3, comp, g).bits
     assert union == (1 << S3.order) - 1
     assert len(lcert) == lnum + 1
 
@@ -310,7 +310,7 @@ def test_engine_against_definitions(case, k):
     n, translators = cover_number(G, Y)
     union = 0
     for g in translators:
-        union |= left_translate(G, Y, g).bits
+        union |= ref.left_translate(G, Y, g).bits
     assert union == (1 << G.order) - 1
     # minimality by the definition, not by the memo cover_number filled
     if n > 1 and G.order ** (n - 2) <= NAIVE_BUDGET:
@@ -633,23 +633,33 @@ def test_memo_serves_a_smaller_cover_to_a_larger_k():
 E8 = catalog("E2^3")
 # 1344 elements, above the product table bound
 AUT_E8 = direct_product(automorphism_group(E8)[0], E8)
+# tabled products above order 256, with 16-bit rows and paged masks
+D7 = catalog("D7")
+PAGED = [power(catalog("S4"), 2),
+         direct_product(automorphism_group(D7)[0], D7)]
 
 
-def check_gathered_masks(G, indices):
+def check_gathered_masks(G, indices, step=1):
     Y = Subset.from_indices(G, indices)
     search = _CoverSearch(G, Y, NODE_CAP)
-    for g in range(G.order):
-        expected = 0
-        for y in Y.indices():
-            expected |= 1 << G.mul(g, y)
-        assert search.translate_mask(g) == expected
-        assert left_translate(G, Y, g).bits == expected
+    for g in range(0, G.order, step):
+        assert search.translate_mask(g) == ref.left_translate(G, Y, g).bits
 
 
 @given(st.sampled_from(catalog_upto(24) + [power(D4, 2)]), st.data())
 @settings(max_examples=40, deadline=None)
 def test_gathered_masks_match_the_mul_loop(G, data):
     check_gathered_masks(G, data.draw(st.lists(st.integers(0, G.order - 1))))
+
+
+@given(st.sampled_from(PAGED), st.data())
+@settings(max_examples=8, deadline=None)
+def test_paged_masks_match_the_mul_loop(G, data):
+    # every translate, a random Y, and the full and empty sets, whose
+    # masks fill every page or none
+    check_gathered_masks(G, data.draw(st.lists(st.integers(0, G.order - 1))))
+    check_gathered_masks(G, [], step=7)
+    check_gathered_masks(G, range(G.order), step=7)
 
 
 @given(st.lists(st.integers(0, AUT_E8.order - 1), max_size=64))

@@ -3,6 +3,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eqlarge import cli, verifier
 from eqlarge.catalog import catalog, catalog_upto, parse_group_list
@@ -145,21 +146,56 @@ def test_verdict_without_cases_is_a_vacuous_pass():
 
 
 def test_verdict_keeps_the_least_margin():
+    # margins are unnormalized (num, den) pairs; the least one comes back
+    # as a Fraction
     def margins(G):
-        yield Fraction(1, 3), None
+        yield (2, 6), None
         yield None, None
-        yield Fraction(1, 4), None
+        yield (3, 12), None
 
     assert verdict_fields(margins) == (True, True, Fraction(1, 4), None)
 
 
 def test_verdict_stops_at_the_first_witness():
     def fails(G):
-        yield Fraction(1, 3), None
+        yield (1, 3), None
         yield None, {"order": G.order}
         raise AssertionError("drawn past the witness")
 
     assert verdict_fields(fails) == (True, False, None, {"order": 6})
+
+
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(1, 12),
+                          st.integers(0, 60), st.integers(1, 60)),
+                min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_integer_cases_match_the_fractions(draws):
+    # each draw is a bound p/q and a fraction count/total, count <= total
+    cases, fractions = [], []
+    for p, q, count, total in draws:
+        bound, count = Fraction(p, q), min(count, total)
+        mu = Fraction(count, total)
+        asked = []
+
+        def large():
+            asked.append(True)
+            return True
+
+        # a large solution set fails its case, and large() is asked only
+        # when the bound holds
+        margin, witness = verifier._case(bound, count, total, {"i": 0},
+                                         large)
+        assert witness == {"i": 0, "fraction": str(mu)}
+        assert asked == ([] if mu > bound else [True])
+        margin, witness = verifier._case(bound, count, total, {})
+        assert (witness is not None) == (mu > bound)
+        if witness is None:
+            assert Fraction(*margin) == bound - mu
+            cases.append((margin, None))
+            fractions.append(bound - mu)
+    r = verifier._verdict("toy", lambda G: iter(cases), S3)
+    assert r.margin == min(fractions, default=None)
+    assert r.hypothesis_holds == bool(cases) and r.conclusion_holds
 
 
 def test_registry_names_each_check_by_its_function():
