@@ -355,6 +355,19 @@ _SHIFT = tuple(map((bytes(range(256)) * 2).__getitem__,
                    map(slice, range(256), range(256, 512))))
 
 
+def _paged_lanes(low, high, pages):
+    """A lookup of keys split into a low byte and a page, over bytes: for
+    each (table, indicator) pair of pages, low translated through table,
+    ANDed with high translated through indicator, which is set where high
+    names that page, as int.from_bytes lanes ORed over the pages.  The
+    paged columns of words and the paged masks of largeness both run it."""
+    lanes = 0
+    for table, indicator in pages:
+        lanes |= (int.from_bytes(low.translate(table), "little")
+                  & int.from_bytes(high.translate(indicator), "little"))
+    return lanes
+
+
 class _TabledProduct(TableGroup, ProductGroup):
     """A product that keeps its rows: each row is folded the first time
     row(h) or mul(h, z) asks for it and kept packed, as bytes up to order

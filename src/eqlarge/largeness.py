@@ -34,9 +34,15 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import BudgetExceeded, EmptySubset
-from .group import Subset, subgroup_as_group
+from .group import (
+    TABLE_MATERIALIZE_BOUND,
+    Subset,
+    _paged_lanes,
+    subgroup_as_group,
+)
 
 __all__ = [
     "NODE_CAP",
@@ -94,11 +100,15 @@ class LargenessReport:
 
 def _membership(X):
     """X as '0'/'1' characters whose character i is element i's bit: up to
-    order 256 a 256-byte translate table, above it one (table, indicator)
-    pair per page of 256 elements, the indicator mapping the page's high
-    byte to '1' and every other to '0'."""
+    order 256 a 256-byte translate table, up to TABLE_MATERIALIZE_BOUND
+    one (table, indicator) pair per page of 256 elements, the indicator
+    mapping the page's high byte to '1' and every other to '0', and above
+    it a str."""
     n = X.parent.order
-    chars = format(X.bits, f"0{n}b")[::-1].encode().ljust(256, b"0")
+    chars = format(X.bits, f"0{n}b")[::-1]
+    if n > TABLE_MATERIALIZE_BOUND:
+        return chars
+    chars = chars.encode().ljust(256, b"0")
     if n <= 256:
         return chars
     return [(chars[p:p + 256].ljust(256, b"0"),
@@ -113,20 +123,19 @@ _LOW = 0 if sys.byteorder == "little" else 1
 def _gathered_mask(G, membership, g):
     """The mask of g*Y from Y's membership: bit z is set exactly when
     g^-1 * z lies in Y, so the bits are gathered along row g^-1, by one
-    translate of the row as bytes up to order 256.  Above it the gather is
-    paged as words._PackedColumns pages its columns: the ORed int lanes of
-    each page's translate of the row's low bytes ANDed with its indicator's
-    translate of the high bytes.  On '0' and '1' (0x30, 0x31) AND and OR
-    act as on the digits, so the lanes read back as the mask in binary."""
+    translate of the row as bytes up to order 256.  Up to
+    TABLE_MATERIALIZE_BOUND, where tabled products keep 16-bit rows, the
+    row's low bytes go through _paged_lanes with its high bytes as the
+    pages.  On '0' and '1' (0x30, 0x31) AND and OR act as on the digits,
+    so the lanes read back as the mask in binary.  Above it, where each
+    page would translate the whole row, the row's characters are joined."""
     row = G.row(G.inv(g))
     if G.order <= 256:
         return int(bytes(row).translate(membership)[::-1], 2)
+    if G.order > TABLE_MATERIALIZE_BOUND:
+        return int("".join(itemgetter(*row)(membership))[::-1], 2)
     packed = (row if type(row) is array else array("H", row)).tobytes()
-    low, high = packed[_LOW::2], packed[1 - _LOW::2]
-    lanes = 0
-    for table, indicator in membership:
-        lanes |= (int.from_bytes(low.translate(table), "little")
-                  & int.from_bytes(high.translate(indicator), "little"))
+    lanes = _paged_lanes(packed[_LOW::2], packed[1 - _LOW::2], membership)
     return int(lanes.to_bytes(G.order, "big"), 2)
 
 

@@ -61,7 +61,7 @@ from .errors import (
     ParseError,
     UnboundConstant,
 )
-from .group import TableGroup, _read_number
+from .group import TableGroup, _paged_lanes, _read_number
 
 __all__ = [
     "Var",
@@ -665,13 +665,14 @@ def _packed_tables(G):
     takes w = 4 bits up to order 16 and w = 5 above, and the key
     a << w | b splits into its low byte ((a mod 2^(8-w)) << w) | b and its
     page a >> (8-w), one page up to order 16 and four above.  The tables
-    are a -> (a mod 2^(8-w)) << w, a -> a^-1, and per page an indicator,
-    a -> 0xFF on the page's a and 0x00 elsewhere, then a*b and [a,b] at
-    the low byte.  Entries past the order are 0."""
+    are a -> (a mod 2^(8-w)) << w, a -> a^-1, and per page a*b and
+    [a,b] at the low byte, each paired with the page's indicator, a ->
+    0xFF on the page's a and 0x00 elsewhere, as _paged_lanes takes them.
+    Entries past the order are 0."""
     n = G.order
     w = max(4, (n - 1).bit_length())
     shift = 8 - w
-    pages = []
+    products, commutators = [], []
     for page in range(1 << (2 * w - 8)):
         product, commutator = bytearray(256), bytearray(256)
         for a in range(page << shift, min(n, (page + 1) << shift)):
@@ -681,9 +682,11 @@ def _packed_tables(G):
                 commutator[base | b] = G.comm(a, b)
         indicator = bytes(255 if a >> shift == page else 0
                           for a in range(256))
-        pages.append((indicator, bytes(product), bytes(commutator)))
+        products.append((bytes(product), indicator))
+        commutators.append((bytes(commutator), indicator))
     return (bytes((a & ((1 << shift) - 1)) << w for a in range(256)),
-            bytes(G.inverses) + bytes(256 - n), tuple(pages))
+            bytes(G.inverses) + bytes(256 - n), tuple(products),
+            tuple(commutators))
 
 
 class _PackedColumns:
@@ -704,12 +707,13 @@ class _PackedColumns:
         self.group = G
         if G._packed is None:
             G._packed = _packed_tables(G)
-        self._high, self._inverse, self._pages = G._packed
-        if len(self._pages) == 1:
-            ((_, self._product, self._commutator),) = self._pages
+        self._high, self._inverse, products, commutators = G._packed
+        if len(products) == 1:
+            ((self._product, _),), ((self._commutator, _),) = (
+                products, commutators)
         else:
-            self.mul = partial(self._paged, 1)
-            self.comm = partial(self._paged, 2)
+            self.mul = partial(self._paged, products)
+            self.comm = partial(self._paged, commutators)
 
     @staticmethod
     def fill(value, length):
@@ -728,15 +732,11 @@ class _PackedColumns:
     def comm(self, A, B):
         return self._pack(A, B).translate(self._commutator)
 
-    def _paged(self, k, A, B):
-        """The pack of A and B through table k of every page (1 the
-        product, 2 the commutator), each page kept where A is on it."""
-        low = self._pack(A, B)
-        out = 0
-        for page in self._pages:
-            out |= (int.from_bytes(low.translate(page[k]), "little")
-                    & int.from_bytes(A.translate(page[0]), "little"))
-        return out.to_bytes(len(A), "little")
+    def _paged(self, pages, A, B):
+        """The pack of A and B through each page's product or commutator
+        table, kept where A is on the page."""
+        return _paged_lanes(self._pack(A, B), A, pages).to_bytes(
+            len(A), "little")
 
 
 class _ListColumns:

@@ -124,10 +124,11 @@ def test_packed_tables_are_built_once_per_group(monkeypatch):
         assert G._packed is None
         column_ops(G)
         tables = G._packed
-        high, inverse, paged = tables
+        high, inverse, products, commutators = tables
         assert len(high) == len(inverse) == 256
-        assert len(paged) == pages
-        assert [len(t) for page in paged for t in page] == [256] * 3 * pages
+        assert len(products) == len(commutators) == pages
+        assert [len(t) for page in products + commutators
+                for t in page] == [256] * 4 * pages
         column_ops(G)
         assert G._packed is tables
         assert built.count(G) == 1

@@ -13,6 +13,7 @@ from eqlarge.catalog import catalog, catalog_upto
 from eqlarge.errors import BudgetExceeded, EmptySubset
 from eqlarge.group import (
     Subset,
+    TableGroup,
     automorphism_group,
     center,
     direct_product,
@@ -633,10 +634,12 @@ def test_memo_serves_a_smaller_cover_to_a_larger_k():
 E8 = catalog("E2^3")
 # 1344 elements, above the product table bound
 AUT_E8 = direct_product(automorphism_group(E8)[0], E8)
-# tabled products above order 256, with 16-bit rows and paged masks
+# groups above order 256 with paged masks: tabled products, whose rows
+# are 16-bit arrays, and a table group of S4^2, whose rows are tuples
 D7 = catalog("D7")
 PAGED = [power(catalog("S4"), 2),
-         direct_product(automorphism_group(D7)[0], D7)]
+         direct_product(automorphism_group(D7)[0], D7),
+         TableGroup(power(catalog("S4"), 2).table, validate=False)]
 
 
 def check_gathered_masks(G, indices, step=1):
@@ -652,17 +655,27 @@ def test_gathered_masks_match_the_mul_loop(G, data):
     check_gathered_masks(G, data.draw(st.lists(st.integers(0, G.order - 1))))
 
 
-@given(st.sampled_from(PAGED), st.data())
-@settings(max_examples=8, deadline=None)
-def test_paged_masks_match_the_mul_loop(G, data):
+@given(st.data())
+@settings(max_examples=3, deadline=None)
+def test_paged_masks_match_the_mul_loop(data):
     # every translate, a random Y, and the full and empty sets, whose
     # masks fill every page or none
-    check_gathered_masks(G, data.draw(st.lists(st.integers(0, G.order - 1))))
-    check_gathered_masks(G, [], step=7)
-    check_gathered_masks(G, range(G.order), step=7)
+    for G in PAGED:
+        check_gathered_masks(
+            G, data.draw(st.lists(st.integers(0, G.order - 1))))
+        check_gathered_masks(G, [], step=7)
+        check_gathered_masks(G, range(G.order), step=7)
 
 
 @given(st.lists(st.integers(0, AUT_E8.order - 1), max_size=64))
 @settings(max_examples=4, deadline=None)
 def test_gathered_masks_match_the_mul_loop_above_the_bound(indices):
     check_gathered_masks(AUT_E8, indices)
+
+
+def test_gathered_masks_match_the_mul_loop_past_16_bits():
+    # 83521 elements, whose indices do not fit the 16-bit rows of the
+    # paged gather: the masks are joined from the tuple rows
+    G = power(catalog("C17"), 4)
+    check_gathered_masks(G, range(0, G.order, 1009), step=8353)
+    check_gathered_masks(G, [0, 1, 17, G.order - 1], step=8353)
