@@ -4,7 +4,6 @@ translate-cover invariants, and brute-force checks of theorem-level facts."""
 from .catalog import catalog, catalog_upto, parse_group_list
 from .group import (
     Group,
-    Homomorphism,
     ProductGroup,
     Subset,
     TableGroup,
@@ -14,7 +13,6 @@ from .group import (
     derived_subgroup,
     direct_product,
     exponent,
-    from_cayley_table,
     is_abelian,
     nilpotency_class,
     power,
@@ -40,7 +38,6 @@ from .probability import (
     equation_largeness,
     probability,
     solution_set,
-    solution_set_json,
     solution_sets_by_value,
 )
 from .verifier import CHECKS, QUESTIONS, run_check, run_search, run_suite

@@ -5,8 +5,9 @@ Specs: ``C n`` cyclic, ``D n`` dihedral of order 2n (n >= 3), ``S n`` and
 elementary abelian, ``H p`` the order p^3 group of unitriangular 3x3
 matrices over Z_p (p in 2, 3, 5), products joined with ``x``, ``@path`` for
 a JSON Cayley-table file, and ``perm:<degree>:<cycles>[;<cycles>...]`` for
-inline permutation generators with 1-based points.  Family orders and
-``perm:`` degrees past PERM_CLOSURE_CAP raise OrderBound, building nothing.
+inline permutation generators with 1-based points.  Family orders,
+``perm:`` degrees and ``@path`` tables past PERM_CLOSURE_CAP raise
+OrderBound, building nothing.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .group import (
     _read_number,
     cycle_name,
     direct_product,
-    from_cayley_table,
     from_permutation_generators,
 )
 
@@ -200,7 +200,18 @@ def _from_file(path):
     table = data["table"]
     names = data.get("names")
     label = data.get("label", "@" + path)
-    return from_cayley_table(table, names=names, label=label)
+    if type(table) is not list:
+        raise UnknownSpec(f'{path!r}: "table" is not a list of rows')
+    _within_cap(f"the table in {path!r}", len(table))
+    if not all(type(row) is list and all(type(v) is int for v in row)
+               for row in table):
+        raise UnknownSpec(f'{path!r}: "table" rows must be lists of integers')
+    if names is not None and not (
+            type(names) is list and all(type(v) is str for v in names)):
+        raise UnknownSpec(f'{path!r}: "names" must be a list of strings')
+    if type(label) is not str:
+        raise UnknownSpec(f'{path!r}: "label" must be a string')
+    return TableGroup(table, names=names, label=label)
 
 
 _CYCLES_RE = re.compile(r"\(([^()]*)\)")

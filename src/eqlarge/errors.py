@@ -19,7 +19,6 @@ __all__ = [
     "NotASupercommutator",
     "NoXVariable",
     "PreconditionViolated",
-    "NotAProductOfSupercommutators",
     "ActionNotClosed",
     "UnknownCheck",
     "UnknownQuestion",
@@ -106,10 +105,6 @@ class NoXVariable(EqlargeError):
 
 class PreconditionViolated(EqlargeError):
     """A product factor fails the variable-count preconditions."""
-
-
-class NotAProductOfSupercommutators(EqlargeError):
-    """The left-hand side does not flatten to supercommutator factors."""
 
 
 class ActionNotClosed(EqlargeError):

@@ -31,24 +31,19 @@ __all__ = [
     "TableGroup",
     "ProductGroup",
     "Subset",
-    "Homomorphism",
     "McWitness",
     "VALIDATION_BOUND",
     "INDEX_BOUND",
-    "from_cayley_table",
     "from_permutation_generators",
     "direct_product",
-    "projections",
     "power",
     "quotient",
     "center",
     "centralizer",
     "subgroup_generated",
-    "normal_closure",
     "conjugacy_classes",
     "class_count",
     "lower_central_series",
-    "upper_central_series",
     "nilpotency_class",
     "exponent",
     "derived_subgroup",
@@ -59,8 +54,6 @@ __all__ = [
     "inner_automorphisms",
     "trivial_action",
     "mc_witness",
-    "image_subset",
-    "preimage_subset",
     "is_subgroup",
     "subgroup_as_group",
     "cycle_name",
@@ -118,17 +111,6 @@ class Group:
     def comm(self, a, b):
         """The commutator a^-1 * b^-1 * a * b."""
         return self.mul(self.inv(self.mul(b, a)), self.mul(a, b))
-
-    def pow(self, a, k):
-        if k < 0:
-            a, k = self.inv(a), -k
-        acc = self.identity
-        while k:
-            if k & 1:
-                acc = self.mul(acc, a)
-            a = self.mul(a, a)
-            k >>= 1
-        return acc
 
     def element_order(self, a):
         acc, k = a, 1
@@ -253,7 +235,7 @@ class ProductGroup(Group):
 
     Element index is mixed-radix with the leftmost factor most significant,
     matching itertools.product order over the factor element ranges.
-    encode, decode and tuples are the package's one tuple<->index codec,
+    encode and decode are the package's one tuple<->index codec,
     and an element is named "(a,b,...)" from its components' names.
     A ProductGroup built directly multiplies componentwise and keeps no
     rows; direct_product and power fold each row on first use and keep it
@@ -291,10 +273,6 @@ class ProductGroup(Group):
         for v, s in zip(parts, self.strides):
             acc += v * s
         return acc
-
-    def tuples(self):
-        """Every element as a tuple of factor elements, in index order."""
-        return itertools.product(*(range(f.order) for f in self.factors))
 
     def mul(self, a, b):
         acc = 0
@@ -456,10 +434,6 @@ class Subset:
     def full(cls, parent):
         return cls(parent, (1 << parent.order) - 1)
 
-    @classmethod
-    def empty(cls, parent):
-        return cls(parent, 0)
-
     @property
     def size(self):
         return self.bits.bit_count()
@@ -484,38 +458,6 @@ class Subset:
 
     def __contains__(self, i):
         return self.contains(i)
-
-
-class Homomorphism:
-    """Map between groups given elementwise; validated unless told not to."""
-
-    def __init__(self, source, target, mapping, validate=True):
-        self.source = source
-        self.target = target
-        self.mapping = tuple(mapping)
-        if len(self.mapping) != source.order:
-            raise NotAGroup(
-                f"map has {len(self.mapping)} entries for order {source.order}")
-        if validate:
-            if self.mapping[source.identity] != target.identity:
-                raise NotAGroup("map does not send identity to identity")
-            for a in range(source.order):
-                for b in range(source.order):
-                    if self.mapping[source.mul(a, b)] != target.mul(
-                            self.mapping[a], self.mapping[b]):
-                        raise NotAGroup(
-                            f"map is not multiplicative at ({a},{b})",
-                            witness=(a, b))
-
-    def __call__(self, a):
-        return self.mapping[a]
-
-    def __repr__(self):
-        return f"<Hom {self.source.label} -> {self.target.label}>"
-
-
-def from_cayley_table(table, names=None, label="G"):
-    return TableGroup(table, names=names, label=label)
 
 
 def _check_permutation(perm, degree):
@@ -604,15 +546,6 @@ def direct_product(*factors, label=None):
     return _product(factors, label)
 
 
-def projections(P):
-    """Coordinate projections of a direct product, as Homomorphisms."""
-    if not isinstance(P, ProductGroup):
-        raise NotAGroup(f"{P.label} was not built as a direct product")
-    columns = zip(*P.tuples())
-    return [Homomorphism(P, f, column, validate=False)
-            for f, column in zip(P.factors, columns)]
-
-
 def power(G, n):
     """Direct power G^n, cached on G.  n = 0 gives the trivial group."""
     if n < 0:
@@ -687,18 +620,6 @@ def subgroup_generated(G, gens):
     return Subset(G, bits)
 
 
-def normal_closure(G, gens):
-    gens = list(gens)
-    current = set(gens)
-    while True:
-        conjs = {G.conj(a, g) for a in current for g in range(G.order)}
-        sub = subgroup_generated(G, conjs | current)
-        new = set(sub.elements())
-        if new == current:
-            return sub
-        current = new
-
-
 def conjugacy_classes(G):
     """Classes as sorted lists, ordered by their minimal element."""
     seen = 0
@@ -733,21 +654,6 @@ def lower_central_series(G):
         if nxt.bits == prev.bits:
             return series
         series.append(nxt)
-
-
-def upper_central_series(G):
-    """[1, Z(G), ...] up to the first repetition; each step lifts the
-    center of the quotient by the previous term."""
-    series = [Subset.from_indices(G, [G.identity])]
-    while True:
-        prev = series[-1]
-        bits = 0
-        for g in range(G.order):
-            if all((prev.bits >> G.comm(g, x)) & 1 for x in range(G.order)):
-                bits |= 1 << g
-        if bits == prev.bits:
-            return series
-        series.append(Subset(G, bits))
 
 
 def nilpotency_class(G):
@@ -798,8 +704,9 @@ def max_centralizer_index(G):
 def quotient(G, N):
     """Quotient by a normal subgroup subset.
 
-    Returns (Q, projection).  Coset representatives are minimal indices, so
-    scanning elements in order assigns coset ids deterministically.
+    Returns (Q, coset_id), where coset_id[g] is the element of Q that g
+    maps to.  Coset representatives are minimal indices, so scanning
+    elements in order assigns coset ids deterministically.
     """
     if not isinstance(N, Subset):
         N = Subset.from_indices(G, N)
@@ -827,23 +734,7 @@ def quotient(G, N):
         names = tuple(f"{G.name(r)}N" for r in reps)
     Q = TableGroup(table, names=names, label=f"{G.label}/N{N.size}",
                    validate=False)
-    proj = Homomorphism(G, Q, coset_id, validate=G.order <= VALIDATION_BOUND)
-    return Q, proj
-
-
-def image_subset(phi, X):
-    bits = 0
-    for x in X.elements():
-        bits |= 1 << phi(x)
-    return Subset(phi.target, bits)
-
-
-def preimage_subset(phi, Y):
-    bits = 0
-    for x in range(phi.source.order):
-        if Y.contains(phi(x)):
-            bits |= 1 << x
-    return Subset(phi.source, bits)
+    return Q, tuple(coset_id)
 
 
 def _greedy_generators(G):

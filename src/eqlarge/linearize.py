@@ -65,19 +65,18 @@ def _mask(indices):
 
 
 class _Expander:
-    def __init__(self, xmap, max_factors):
+    def __init__(self, xmap):
         self.xmap = xmap
         self.xmask = _mask(xmap)
-        self.max_factors = max_factors
         self.created = 0
         self._ysub_cache = {}
         self._phi_cache = {}
 
     def mk(self, a, b):
         self.created += 1
-        if self.created > self.max_factors:
+        if self.created > MAX_FACTORS:
             raise BudgetExceeded(
-                f"linearization exceeds {self.max_factors} factors")
+                f"linearization exceeds {MAX_FACTORS} factors")
         return Comm(a, b)
 
     def ysub(self, w):
@@ -209,7 +208,7 @@ def check_factor_condition(w, v, xbar, ybar):
             and vw & xmask != 0 and vw & _mask(ybar) != 0)
 
 
-def linearize(v, xbar, ybar, max_factors=MAX_FACTORS):
+def linearize(v, xbar, ybar):
     """Factor list phi with v(..., y_i*x_i, ...) = v(x) * v(y) * prod(phi).
 
     Every returned factor passes check_factor_condition against (v, xbar,
@@ -221,7 +220,7 @@ def linearize(v, xbar, ybar, max_factors=MAX_FACTORS):
     if not v.var_bits & _mask(xbar):
         raise NoXVariable(f"{to_text(v)} uses none of the designated "
                           "variables")
-    phi = _Expander(dict(zip(xbar, ybar)), max_factors).expand(v)
+    phi = _Expander(dict(zip(xbar, ybar))).expand(v)
     for w in phi:
         if not check_factor_condition(w, v, xbar, ybar):
             raise AssertionError(
@@ -229,7 +228,7 @@ def linearize(v, xbar, ybar, max_factors=MAX_FACTORS):
     return phi
 
 
-def linearize_product(factors, xbar, ybar, n=None, max_factors=MAX_FACTORS):
+def linearize_product(factors, xbar, ybar, n=None):
     """Same splitting for a product of supercommutators.
 
     Every input factor must use a designated variable and at least n others;
@@ -258,7 +257,7 @@ def linearize_product(factors, xbar, ybar, n=None, max_factors=MAX_FACTORS):
     if any(c < n for c in counts):
         raise PreconditionViolated(
             f"every factor needs at least {n} undesignated variables")
-    exp = _Expander(dict(zip(xbar, ybar)), max_factors)
+    exp = _Expander(dict(zip(xbar, ybar)))
     items = []
     for w in prepared:
         items.extend([w, exp.ysub(w)] + exp.expand(w))

@@ -19,7 +19,6 @@ from .group import (
     Subset,
     class_count,
     direct_product,
-    is_subgroup,
     power,
 )
 from .largeness import NODE_CAP, largeness_report
@@ -36,12 +35,10 @@ from .words import (
 __all__ = [
     "SolutionSet",
     "solution_set",
-    "solution_set_json",
     "solution_sets_by_value",
     "probability",
     "commuting_probability",
     "equation_largeness",
-    "fixed_subgroup",
     "AcReport",
     "autocommutativity_degree",
 ]
@@ -67,15 +64,6 @@ class SolutionSet:
 
     def indices(self):
         return group._set_bits(self.bits)
-
-
-def solution_set_json(sols, index_threshold=1 << 16):
-    """Interchange dict; indices are dropped past the threshold."""
-    out = {"group": sols.group.label, "arity": sols.arity,
-           "count": sols.count}
-    if sols.count <= index_threshold:
-        out["indices"] = list(sols.indices())
-    return out
 
 
 def _blocks(G, program, arity, constants, ranged=()):
@@ -193,20 +181,6 @@ def equation_largeness(G, equation, constants=None, node_cap=NODE_CAP):
     """Largeness report for the solution set inside the direct power."""
     X = solution_set(G, equation, constants).as_subset()
     return largeness_report(X.parent, X, node_cap)
-
-
-def fixed_subgroup(G, sigma):
-    """Elements fixed by a permutation of G given as a tuple; checked to
-    form a subgroup."""
-    bits = 0
-    for g in range(G.order):
-        if sigma[g] == g:
-            bits |= 1 << g
-    sub = Subset(G, bits)
-    if not is_subgroup(G, sub):
-        raise ActionNotClosed("fixed points do not form a subgroup; "
-                              "the map is not an automorphism")
-    return sub
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,6 @@ from operator import getitem, is_
 
 from .errors import (
     ArityMismatch,
-    NotAProductOfSupercommutators,
     ParseError,
     UnboundConstant,
 )
@@ -86,10 +85,7 @@ __all__ = [
     "word_constants",
     "word_arity",
     "expand_engel",
-    "flatten_product",
     "is_supercommutator",
-    "move_constants_right",
-    "IDENTITY_WORD",
 ]
 
 
@@ -166,8 +162,6 @@ class Engel:
     __post_init__ = _join_bits
 
 
-IDENTITY_WORD = Const("#e")
-
 # Nodes that print as atoms: no parentheses as an operand of ^
 _ATOMS = frozenset((Var, Const, Comm, Engel))
 
@@ -214,8 +208,8 @@ def _tokenize(text):
 # Deepest word the parser accepts, as the height of the tree once Engel
 # nodes are expanded and as the nesting of brackets.  Evaluation keeps its
 # own stack and word_variables reads var_bits, but parsing recurses four
-# frames per bracket level, and to_text, word_constants, expand_engel and
-# flatten_product recurse a frame or two per tree level, so an accepted
+# frames per bracket level, and to_text, word_constants and expand_engel
+# recurse a frame or two per tree level, so an accepted
 # word stays well inside Python's default recursion limit of 1000.
 MAX_WORD_HEIGHT = 128
 
@@ -928,26 +922,6 @@ def expand_engel(w):
     raise TypeError(f"not a word node: {w!r}")
 
 
-def flatten_product(w):
-    """Top-level factor list, with Engel expanded and powers unrolled.
-
-    Pow with exponent 0 contributes nothing; negative exponents unroll to
-    repeated inverses.
-    """
-    w = expand_engel(w)
-    if isinstance(w, Prod):
-        return flatten_product(w.left) + flatten_product(w.right)
-    if isinstance(w, Pow):
-        base = w.base
-        k = w.exp
-        if k == 0:
-            return []
-        unit = expand_engel(base) if k > 0 else Inv(expand_engel(base))
-        return flatten_product(unit) * abs(k) if isinstance(unit, Prod) \
-            else [unit] * abs(k)
-    return [w]
-
-
 def is_supercommutator(w):
     """Words built from variables and constants by inverse and commutator
     only.  Expand Engel first if needed; Prod, Pow and Conj disqualify."""
@@ -958,44 +932,3 @@ def is_supercommutator(w):
     if isinstance(w, Comm):
         return is_supercommutator(w.left) and is_supercommutator(w.right)
     return False
-
-
-def move_constants_right(eq):
-    """Rewrite lhs = rhs so every lhs factor contains a variable.
-
-    Leading constants move to the rhs on the left (inverted), trailing ones
-    on the right (inverted), and an interior constant t passes a variable
-    factor f by rewriting t*f as f*[f,t^-1]*t.  When no variable factor
-    remains the lhs is the identity literal.
-    """
-    factors = flatten_product(eq.lhs)
-    for f in factors:
-        if not is_supercommutator(f):
-            raise NotAProductOfSupercommutators(
-                f"factor {to_text(f)} is not a supercommutator")
-    rhs_left = []
-    while factors and not factors[0].var_bits:
-        rhs_left.append(Inv(factors.pop(0)))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors) - 1):
-            if not factors[i].var_bits and factors[i + 1].var_bits:
-                t, f = factors[i], factors[i + 1]
-                factors[i:i + 2] = [f, Comm(f, Inv(t)), t]
-                changed = True
-                break
-    rhs_right = []
-    while factors and not factors[-1].var_bits:
-        rhs_right.append(Inv(factors.pop()))
-    rhs = eq.rhs
-    for t in rhs_right:
-        rhs = Prod(rhs, t)
-    for t in rhs_left:
-        rhs = Prod(t, rhs)
-    lhs = IDENTITY_WORD
-    if factors:
-        lhs = factors[0]
-        for f in factors[1:]:
-            lhs = Prod(lhs, f)
-    return Equation(lhs, rhs)

@@ -6,9 +6,12 @@ types, the automorphism search that tested every pair (a, b) before it
 tested only generators, the compiler walk that words._compile
 replaced, and a cover search with neither the greedy cover nor the
 start from Y of largeness._CoverSearch, left translates by a G.mul loop,
-where largeness gathers them along rows, and permutation composition on
-tuples, where group composes bytes by translate, kept as slow,
-independent oracles for the tests."""
+where largeness gathers them along rows, permutation composition on
+tuples, where group composes bytes by translate, powers by repeated
+multiplication, where the compiler squares, and the upper central
+series, which counts the class from the other end than
+group.nilpotency_class, kept as slow, independent oracles for the
+tests."""
 
 import itertools
 from array import array
@@ -35,6 +38,16 @@ from eqlarge.words import (
     resolve_constant,
     word_arity,
 )
+
+
+def element_power(G, a, k):
+    """a^k by |k| multiplications; k < 0 multiplies by the inverse."""
+    if k < 0:
+        a, k = G.inv(a), -k
+    acc = G.identity
+    for _ in range(k):
+        acc = G.mul(acc, a)
+    return acc
 
 
 def evaluate(G, w, assignment, constants=None, _memo=None):
@@ -65,7 +78,8 @@ def evaluate(G, w, assignment, constants=None, _memo=None):
         val = G.mul(evaluate(G, w.left, assignment, constants, _memo),
                     evaluate(G, w.right, assignment, constants, _memo))
     elif isinstance(w, Pow):
-        val = G.pow(evaluate(G, w.base, assignment, constants, _memo), w.exp)
+        val = element_power(
+            G, evaluate(G, w.base, assignment, constants, _memo), w.exp)
     elif isinstance(w, Conj):
         val = G.conj(evaluate(G, w.base, assignment, constants, _memo),
                      evaluate(G, w.by, assignment, constants, _memo))
@@ -92,9 +106,10 @@ def evaluate_product(G, factors, assignment, constants=None):
 def solution_bits(G, equation, constants=None):
     """(bits, count) of an equation's solutions, one assignment at a time
     through the power's tuple codec."""
-    arity = equation.arity
+    P = ProductGroup((G,) * equation.arity)
     bits = count = 0
-    for idx, tup in enumerate(ProductGroup((G,) * arity).tuples()):
+    for idx in range(P.order):
+        tup = P.decode(idx)
         if evaluate(G, equation.lhs, tup, constants) == \
                 evaluate(G, equation.rhs, tup, constants):
             bits |= 1 << idx
@@ -105,9 +120,9 @@ def solution_bits(G, equation, constants=None):
 def buckets_by_value(G, word, constants=None):
     """{value: (bits, count)} over every assignment, one at a time."""
     out = {}
-    for idx, tup in enumerate(
-            ProductGroup((G,) * word_arity(word)).tuples()):
-        v = evaluate(G, word, tup, constants)
+    P = ProductGroup((G,) * word_arity(word))
+    for idx in range(P.order):
+        v = evaluate(G, word, P.decode(idx), constants)
         bits, count = out.get(v, (0, 0))
         out[v] = bits | 1 << idx, count + 1
     return dict(sorted(out.items()))
@@ -369,3 +384,18 @@ def composition_table(perms):
     index = {p: i for i, p in enumerate(perms)}
     return tuple(tuple(index[tuple(p[x] for x in q)] for q in perms)
                  for p in perms)
+
+
+def upper_central_series(G):
+    """[1, Z(G), ...] up to the first repetition; each step lifts the
+    center of the quotient by the previous term."""
+    series = [Subset.from_indices(G, [G.identity])]
+    while True:
+        prev = series[-1]
+        bits = 0
+        for g in range(G.order):
+            if all((prev.bits >> G.comm(g, x)) & 1 for x in range(G.order)):
+                bits |= 1 << g
+        if bits == prev.bits:
+            return series
+        series.append(Subset(G, bits))

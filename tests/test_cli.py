@@ -503,6 +503,14 @@ cli.main()
 OVERSIZED_SPECS = ["C100000", "D5000", "E2^40", "E3^99999999999",
                    "perm:1000000:(1 2)", "catalog<=3000", "catalog<=300",
                    "catalog<=2048", "C" + "9" * 5000]
+# an @file table past the size cap, declined with 3 like the specs above
+OVERSIZED_TABLE = {"table": [[0]] * 2049}
+# @file contents that hold no table of int rows, or names or a label that
+# are not strings: declined with 2, a float is never read as an int
+BAD_TABLES = ['{"table": 5}', '{"table": [5]}', '{"table": [["a"]]}',
+              '{"table": [[1e400]]}', '{"table": [[0.7]]}',
+              '{"table": [[true]]}', '{"table": [[0]], "names": 7}',
+              '{"table": [[0]], "names": [7]}', '{"table": [[0]], "label": 7}']
 GROUP_SPECS = ["C1", "C2", "C4", "S3", "D4", "Q8", "H2", "E2^2", "C2xC3",
                "perm:3:(1 2);(1 2 3)", "catalog<=4", "Z9", "C0", "D2", "S9",
                "E4^2", "E2^0", "H7", "s3", "", "x", "C2x", "catalog<=x",
@@ -572,17 +580,25 @@ def test_cli_exit_codes_are_total(argv):
         assert run_cli(*argv)[0] in (0, 1, 2, 3), argv
 
 
-def test_unreadable_specs_exit_2():
+def test_unreadable_specs_exit_2(tmp_path):
     for argv in (["solve", "perm:3:(1 a)", "x1=x1"],
                  ["info", "@no-such-file.json"],
                  ["info", "@."],
                  ["cover", "C1", "--subset", '{"group": [], "elements": []}']):
         with small_caps():
             assert run_cli(*argv)[0] == 2, argv
+    path = tmp_path / "g.json"
+    for data in BAD_TABLES:
+        path.write_text(data)
+        code, _, err = run_cli("info", f"@{path}")
+        assert code == 2, data
+        assert err.startswith("error: ") and err.count("\n") == 1, data
 
 
-def test_oversized_specs_exit_3_quickly():
-    for spec in OVERSIZED_SPECS:
+def test_oversized_specs_exit_3_quickly(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(OVERSIZED_TABLE))
+    for spec in [*OVERSIZED_SPECS, f"@{path}"]:
         start = time.monotonic()
         code, _, err = run_cli("catalog", spec)
         assert code == 3, spec[:24]

@@ -202,7 +202,7 @@ RANGED = {
     "[g,h^x1]": (("g", "h"), lambda G, g, h, x: G.comm(g, G.conj(h, x))),
     "[[x1,g],h]": (("g", "h"), lambda G, g, h, x: G.comm(G.comm(x, g), h)),
     "x1*g*x2": (("g",), lambda G, g, x, y: G.mul(G.mul(x, g), y)),
-    "(a*x1)^2": (("a",), lambda G, a, x: G.pow(G.mul(a, x), 2)),
+    "(a*x1)^2": (("a",), lambda G, a, x: G.mul(G.mul(a, x), G.mul(a, x))),
     "[x1,x2]": ((), lambda G, x, y: G.comm(x, y)),
     "[g,h]": (("g", "h"), lambda G, g, h: G.comm(g, h)),
 }

@@ -1,6 +1,5 @@
 import contextlib
 import io
-import itertools
 import json
 import random
 
@@ -17,10 +16,7 @@ from eqlarge.group import (
     automorphism_group,
     center,
     direct_product,
-    image_subset,
     power,
-    preimage_subset,
-    projections,
     quotient,
     subgroup_generated,
 )
@@ -226,24 +222,28 @@ def test_restriction_to_a_subgroup():
 
 
 def test_quotient_image_preserves_2_largeness():
-    Q, pi = quotient(D4, center(D4))
+    Q, coset_id = quotient(D4, center(D4))
+
+    def image(X):
+        return Subset.from_indices(Q, {coset_id[x] for x in X})
+
     X = subset(D4, [0, 1, 2, 4, 5])
     if is_k_large(D4, X, 2)[0]:
-        assert is_k_large(Q, image_subset(pi, X), 2)[0]
+        assert is_k_large(Q, image(X), 2)[0]
     # and for every subset of D4 this direction holds
-    import random
     rng = random.Random(3)
     for _ in range(80):
         X = Subset(D4, rng.randrange(1, 255))
         if is_k_large(D4, X, 2)[0]:
-            assert is_k_large(Q, image_subset(pi, X), 2)[0]
+            assert is_k_large(Q, image(X), 2)[0]
 
 
 def test_product_subsets():
     sq = power(C4, 2)
     X = subset(C4, [0, 1])
-    first = projections(sq)[0]
-    lifted = preimage_subset(first, X)
+    # the preimage of X under the projection onto the first factor
+    lifted = Subset.from_indices(
+        sq, [sq.encode((x, c)) for x in X for c in range(C4.order)])
     assert lifted.size == X.size * C4.order
     assert largeness_number(sq, lifted)[0] == largeness_number(C4, X)[0]
     assert cover_number(sq, lifted)[0] == cover_number(C4, X)[0]

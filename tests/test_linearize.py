@@ -1,6 +1,8 @@
 import hashlib
+import importlib
 import operator
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -35,6 +37,9 @@ from eqlarge.words import (
     to_text,
     word_variables,
 )
+
+# the module itself: the package exports the function under its name
+LINEARIZE = importlib.import_module("eqlarge.linearize")
 
 S3 = catalog("S3")
 D4 = catalog("D4")
@@ -221,8 +226,10 @@ def test_error_cases():
 
 
 def test_budget_is_enforced():
-    with pytest.raises(BudgetExceeded):
-        linearize(parse_word("[[x1,x2],x3]"), (0,), (3,), max_factors=4)
+    # the cap is read when factors are made, so patching it takes effect
+    with mock.patch.object(LINEARIZE, "MAX_FACTORS", 4), \
+            pytest.raises(BudgetExceeded, match="exceeds 4 factors"):
+        linearize(parse_word("[[x1,x2],x3]"), (0,), (3,))
 
 
 def sweep_factors():
@@ -269,7 +276,8 @@ def test_linearized_factors_carry_their_variables(v, xbar):
     ybar = tuple(3 + k for k in range(len(xbar)))
     assume(v.var_bits & sum(1 << x for x in xbar))
     try:
-        phi = linearize(v, xbar, ybar, max_factors=2000)
+        with mock.patch.object(LINEARIZE, "MAX_FACTORS", 2000):
+            phi = linearize(v, xbar, ybar)
     except BudgetExceeded:
         assume(False)
     for w in phi:

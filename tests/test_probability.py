@@ -6,11 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from eqlarge.catalog import catalog
 from eqlarge import group
-from eqlarge.errors import ArityMismatch, IndexBound, OrderBound
+from eqlarge.errors import (
+    ActionNotClosed,
+    ArityMismatch,
+    IndexBound,
+    OrderBound,
+)
 from eqlarge.group import (
     ProductGroup,
     Subset,
-    automorphism_group,
     center,
     class_count,
     inner_automorphisms,
@@ -22,10 +26,8 @@ from eqlarge.probability import (
     autocommutativity_degree,
     commuting_probability,
     equation_largeness,
-    fixed_subgroup,
     probability,
     solution_set,
-    solution_set_json,
     solution_sets_by_value,
 )
 from eqlarge.words import evaluate, parse_equation, parse_word
@@ -136,28 +138,6 @@ def test_swapping_commutator_arguments_inverts_the_value(c):
     assert n1 == n2
 
 
-def test_solution_set_json():
-    ss = solution_set(C2, parse_equation("x1^2 = #e"))
-    assert solution_set_json(ss) == {
-        "group": "C2", "arity": 1, "count": 2, "indices": [0, 1]}
-    big = solution_set(D4, parse_equation("[x1,x2] = #e"))
-    out = solution_set_json(big, index_threshold=10)
-    assert "indices" not in out
-    assert out["count"] == 40
-
-
-def test_fixed_subgroups():
-    A, action = automorphism_group(V)
-    assert A.order == 6
-    ident = next(r for r in action if r == tuple(range(4)))
-    assert fixed_subgroup(V, ident).size == 4
-    cycles = [r for r in action
-              if fixed_subgroup(V, r).size == 1]
-    assert len(cycles) == 2
-    swaps = [r for r in action if fixed_subgroup(V, r).size == 2]
-    assert len(swaps) == 3
-
-
 def test_autocommutativity_degrees():
     full = Subset.full(S3)
     rep = autocommutativity_degree(S3, full, inner_automorphisms(S3))
@@ -170,6 +150,25 @@ def test_autocommutativity_degrees():
     # restricting to the center pins every inner automorphism
     repc = autocommutativity_degree(D4, center(D4), inner_automorphisms(D4))
     assert repc.degree == 1
+
+
+def test_autocommutativity_rejects_non_actions():
+    full = Subset.full(S3)
+    A, action = inner_automorphisms(S3)
+    with pytest.raises(ActionNotClosed, match="size"):
+        autocommutativity_degree(S3, full, (A, action[:-1]))
+    not_a_permutation = (tuple(range(5)) + (0,),) + tuple(action[1:])
+    with pytest.raises(ActionNotClosed, match="not a permutation"):
+        autocommutativity_degree(S3, full, (A, not_a_permutation))
+    # swapping an element of order 2 with one of order 3 is a
+    # permutation of S3 but no automorphism
+    t = next(g for g in range(6) if S3.element_order(g) == 2)
+    c = next(g for g in range(6) if S3.element_order(g) == 3)
+    swap = list(range(6))
+    swap[t], swap[c] = c, t
+    T, _ = trivial_action(S3)
+    with pytest.raises(ActionNotClosed, match="not multiplicative"):
+        autocommutativity_degree(S3, full, (T, (tuple(swap),)))
 
 
 def test_inner_action_degree_matches_commuting_probability():

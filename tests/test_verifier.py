@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from eqlarge import cli, verifier
 from eqlarge.catalog import catalog, catalog_upto, parse_group_list
 from eqlarge.errors import BudgetExceeded, UnknownCheck, UnknownQuestion
-from eqlarge.group import McWitness, Subset, center, from_cayley_table
+from eqlarge.group import McWitness, Subset, TableGroup, center
 from eqlarge.verifier import (
     CHECKS,
     QUESTIONS,
@@ -443,9 +443,9 @@ def test_sampled_checks_at_other_seeds_are_pinned():
 def test_noncentral_is_none_only_in_abelian_groups():
     # S3 with 0 and 1 swapped: the identity is 1, and 0 is not central
     swap = [1, 0, *range(2, S3.order)]
-    G = from_cayley_table([[swap[S3.mul(swap[a], swap[b])]
-                            for b in range(S3.order)]
-                           for a in range(S3.order)])
+    G = TableGroup([[swap[S3.mul(swap[a], swap[b])]
+                     for b in range(S3.order)]
+                    for a in range(S3.order)])
     assert G.identity == 1
     assert verifier._noncentral(G) == 0
     assert verifier._noncentral(D4) == min(

@@ -5,7 +5,6 @@ import reference_eval as ref
 from eqlarge.catalog import catalog
 from eqlarge.errors import (
     ArityMismatch,
-    NotAProductOfSupercommutators,
     ParseError,
     UnboundConstant,
 )
@@ -16,16 +15,13 @@ from eqlarge.words import (
     Conj,
     Const,
     Engel,
-    IDENTITY_WORD,
     Inv,
     Pow,
     Prod,
     Var,
     evaluate,
     expand_engel,
-    flatten_product,
     is_supercommutator,
-    move_constants_right,
     parse_equation,
     parse_word,
     to_text,
@@ -168,7 +164,6 @@ def test_evaluate_errors():
 def test_literal_constants():
     assert evaluate(S3, parse_word("#e"), ()) == S3.identity
     assert evaluate(S3, parse_word("#3"), ()) == 3
-    assert evaluate(S3, IDENTITY_WORD, ()) == S3.identity
 
 
 def test_a_binding_never_overrides_a_literal():
@@ -197,7 +192,6 @@ def test_word_bookkeeping():
     assert word_variables(w) == {0, 1}
     assert word_constants(w) == {"g", "h"}
     assert word_arity(w) == 2
-    assert flatten_product(w) == [parse_word("[x1,g]"), parse_word("[x2,h]")]
 
 
 WORDS = st.recursive(
@@ -234,35 +228,6 @@ def test_variable_bits_stay_out_of_equality():
     a, b = Comm(Var(0), Const("g")), Comm(Var(0), Const("g"))
     assert a == b and hash(a) == hash(b) and a.var_bits == 1
     assert repr(a) == "Comm(left=Var(index=0), right=Const(name='g'))"
-
-
-def test_move_constants_right():
-    eq = move_constants_right(parse_equation("g = c"))
-    assert to_text(eq.lhs) == "#e"
-    eq2 = move_constants_right(parse_equation("[x1,g]*h = c"))
-    assert to_text(eq2.lhs) == "[x1,g]"
-    eq3 = move_constants_right(parse_equation("g*[x1,h] = c"))
-    assert to_text(eq3.lhs) == "[x1,h]"
-    # bare variables count as supercommutators, so this one passes through
-    eq4 = move_constants_right(parse_equation("x1*x2 = c"))
-    assert to_text(eq4.lhs) == "x1 * x2"
-    # powers are expanded by flatten_product, so use a conjugation to
-    # actually hit the rejection path
-    with pytest.raises(NotAProductOfSupercommutators):
-        move_constants_right(parse_equation("x1^x2 = c"))
-
-
-def test_move_constants_right_preserves_solutions():
-    consts = {"g": 1, "h": 4, "c": 2}
-    for text in ("[x1,g]*h = c", "g*[x1,h] = c"):
-        eq = parse_equation(text)
-        moved = move_constants_right(eq)
-        for x in range(D4.order):
-            before = (evaluate(D4, eq.lhs, (x,), consts)
-                      == evaluate(D4, eq.rhs, (x,), consts))
-            after = (evaluate(D4, moved.lhs, (x,), consts)
-                     == evaluate(D4, moved.rhs, (x,), consts))
-            assert before == after
 
 
 def test_supercommutator_values_stay_in_the_lower_central_series():
